@@ -18,7 +18,7 @@
  * the clamped successor (ready max(r_raw, r_prev) <= p) is exactly as
  * poppable as the raw one (r_raw <= p). frontReadyCycle() likewise
  * only tightens toward the cycle the item could actually pop, which
- * makes the quiescence fast-forward exact rather than conservative.
+ * makes the event-mode jumps exact rather than conservative.
  */
 
 #ifndef AMSC_COMMON_DELAY_QUEUE_HH

@@ -79,14 +79,16 @@ void
 Sm::onWarpDone(Warp &w, Cycle now)
 {
     setWarpState(w, WarpState::Done);
+    // By value: the scan below resets w's own slot to Warp{}.
+    const CtaId cta = w.cta;
     for (auto it = activeCtaWarps_.begin();
          it != activeCtaWarps_.end(); ++it) {
-        if (it->first == w.cta) {
+        if (it->first == cta) {
             if (--it->second == 0) {
                 // CTA complete: free all its warp slots.
                 for (std::uint32_t s = 0; s < warps_.size(); ++s) {
                     if (warps_[s].state == WarpState::Done &&
-                        warps_[s].cta == w.cta) {
+                        warps_[s].cta == cta) {
                         warps_[s] = Warp{};
                         freeSlots_.push_back(s);
                     }

@@ -122,9 +122,6 @@ class Sm
         retiredCounter_ = counter;
     }
 
-    /** True while L1-hit completions are still in flight. */
-    bool hasPendingCompletions() const { return !hitQueue_.empty(); }
-
     /**
      * Earliest cycle >= @p now whose tick() is not a no-op beyond
      * the per-cycle counters advanceIdleCycles() compensates: `now`

@@ -193,21 +193,6 @@ class LlcSystem
     bool drained() const;
 
     /**
-     * Cycle at which the controller FSM next changes state on time
-     * alone (the power-gate/ungate countdowns); kNoCycle in every
-     * state that advances on external progress instead. Feeds the
-     * quiescence fast-forward in GpuSystem::run().
-     */
-    Cycle
-    nextTimedEventCycle() const
-    {
-        return (state_ == CtrlState::GateWait ||
-                state_ == CtrlState::UngateWait)
-            ? stateDeadline_
-            : kNoCycle;
-    }
-
-    /**
      * Earliest cycle >= @p now whose tick() is not a no-op beyond
      * the per-cycle mode counters advanceIdleCycles() compensates:
      * the minimum over every slice's next event and the controller
@@ -224,8 +209,8 @@ class LlcSystem
     /**
      * Account @p n externally skipped idle cycles in the per-cycle
      * mode counters (tick() increments one of them every cycle).
-     * Only legal while the whole system is quiescent and no FSM
-     * deadline lies inside the skipped range.
+     * Only legal when no slice or FSM event (nextEventCycle()) lies
+     * inside the skipped range.
      */
     void
     advanceIdleCycles(Cycle n)

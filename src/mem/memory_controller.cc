@@ -92,7 +92,7 @@ MemoryController::tick(Cycle now)
     //    bank's column pipeline is idle, then close all rows and hold
     //    the banks for tRFC. Only charged while work is pending --
     //    idle-period refreshes would delay nothing and skipping them
-    //    keeps fast-forward bit-exact (see file header).
+    //    keeps event-mode jumps bit-exact (see file header).
     if (refreshPending(now)) {
         // The implicit all-bank precharge must itself be legal:
         // tRAS since each open row's activate, write recovery done.

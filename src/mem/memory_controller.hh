@@ -20,8 +20,8 @@
  *
  * Refresh is charged only while the controller has work queued or in
  * flight: an idle-period refresh would delay nothing the model
- * observes, and skipping it keeps the fast-forward path bit-exact
- * (tests/test_perf_invariance.cc).
+ * observes, and skipping it keeps the event-mode jumps bit-exact
+ * (tests/test_event_core.cc).
  *
  * Read completions are announced through a callback; writes complete
  * silently (the LLC is the point of write acknowledgment). An

@@ -117,9 +117,8 @@ class Network
     /**
      * Earliest cycle at which tick() can change observable state,
      * assuming no further injections; kNoCycle when nothing can ever
-     * happen without external input. Drives both `sim_mode=event`
-     * jumps and tick-mode quiescence fast-forward, so the contract is
-     * *never late*: advertising a cycle after the first real state
+     * happen without external input. Drives the `sim_mode=event`
+     * jumps, so the contract is *never late*: advertising a cycle after the first real state
      * change diverges the simulation. Advertising early (down to the
      * conservative `now + 1` of this default) is always safe, only
      * slow. Every shipped topology is exact: the ideal NoC advertises

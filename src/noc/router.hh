@@ -113,8 +113,8 @@ class Router
 
     /**
      * Account @p n skipped idle ticks: tick() unconditionally counts
-     * one active (or gated, under bypass) cycle, so an external
-     * fast-forward over drained cycles must add the same amount.
+     * one active (or gated, under bypass) cycle, so an event-mode
+     * jump over drained cycles must add the same amount.
      */
     void
     skipIdleCycles(Cycle n)

@@ -214,8 +214,6 @@ makeFuzzCase(std::uint64_t seed, std::uint32_t index)
            std::string(rng.pick({"rr", "bcs", "dcs"})));
     kvLine(os, "max_cycles", rng.range(6000, 24000));
     kvLine(os, "seed", rng.range(1, 1000000));
-    kvLine(os, "fast_forward",
-           std::string(rng.chance(0.5) ? "true" : "false"));
     if (rng.chance(0.3))
         kvLine(os, "max_instructions", rng.range(2000, 20000));
     if (rng.chance(0.2))

@@ -7,8 +7,8 @@
  * turns that contract into a search: makeFuzzCase() derives a random
  * but valid scenario -- workload classes x LLC policies x NoC
  * topologies x memory backends/schedulers x multi-program x
- * fast-forward x instruction budgets x periodic checkpointing x
- * observability -- deterministically from (seed, index), and
+ * instruction budgets x periodic checkpointing x observability --
+ * deterministically from (seed, index), and
  * runFuzzCase() executes it under both drivers and compares
  *
  *  - the full RunResult (identicalResults: every counter, rate and

@@ -38,8 +38,12 @@ struct SimConfig;
 /** Checkpoint file magic (8 bytes, no NUL). */
 inline constexpr char kCkptMagic[] = "AMSCCKP1";
 
-/** Container format version. */
-inline constexpr std::uint32_t kCkptVersion = 1;
+/**
+ * Container format version. Bump it when the payload layout changes,
+ * so an older file fails with "unsupported checkpoint version" rather
+ * than mid-payload.
+ */
+inline constexpr std::uint32_t kCkptVersion = 2;
 
 /**
  * FNV-1a digest of the simulation-relevant registry keys of @p cfg

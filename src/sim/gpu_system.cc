@@ -149,7 +149,6 @@ GpuSystem::GpuSystem(const SimConfig &config) : config_(config)
 
     llc_->setHooks(
         [this](bool stalled) {
-            smsStalled_ = stalled;
             for (auto &sm : sms_)
                 sm->setStalled(stalled);
         },
@@ -336,11 +335,11 @@ GpuSystem::tickOnce()
     }
     ++now_;
     // Disabled observers cost exactly this compare (nextObsAt_ =
-    // kNoCycle). Fast-forward jumps coalesce into one late sample.
+    // kNoCycle). Every grid point is reached by a live tick (event
+    // jumps stop one cycle short of it), so samples land on the grid.
     if (now_ >= nextObsAt_) {
         cycleObs_(now_);
-        while (nextObsAt_ <= now_)
-            nextObsAt_ += obsPeriod_;
+        nextObsAt_ += obsPeriod_;
     }
 }
 
@@ -349,49 +348,6 @@ GpuSystem::step(Cycle n)
 {
     for (Cycle i = 0; i < n; ++i)
         tickOnce();
-}
-
-void
-GpuSystem::maybeFastForward()
-{
-    if (!config_.fastForward || !smsStalled_)
-        return;
-    // A pending kernel-management event must be processed by the next
-    // tick, exactly as the per-cycle loop would.
-    if (manageDirty_)
-        return;
-    // An exhausted instruction budget must still terminate the run at
-    // the next 128-cycle check, not after the skipped range.
-    if (config_.maxInstructions != 0 &&
-        instrRetired_ >= config_.maxInstructions)
-        return;
-    // In-flight L1 hit completions retire instructions even while the
-    // SMs are stalled; slices with queued work pop it cycle by cycle.
-    if (!llc_->drained())
-        return;
-    for (const auto &sm : sms_) {
-        if (sm->hasPendingCompletions())
-            return;
-    }
-    // A pending program arrival bounds the jump: the tick at the wake
-    // cycle must run live so kernel management fires on schedule.
-    const Cycle target = std::min({llc_->nextEventCycle(now_),
-                                   net_->nextEventCycle(now_),
-                                   mem_->nextEventCycle(now_),
-                                   programWakeAt_});
-    if (target == kNoCycle)
-        return;
-    const Cycle to = std::min(target, config_.maxCycles);
-    if (to <= now_ + 1)
-        return;
-    // Ticks in [now_, to) are no-ops apart from per-cycle activity
-    // counters; account those and jump. The tick at `to` runs live.
-    const Cycle skipped = to - now_;
-    llc_->advanceIdleCycles(skipped);
-    net_->advanceIdleCycles(skipped);
-    now_ = to;
-    ++jumpCount_;
-    jumpedCycles_ += skipped;
 }
 
 Cycle
@@ -429,16 +385,6 @@ GpuSystem::jumpToNextEvent()
     // done (the empty-workload run must still tick exactly once).
     if (manageDirty_ || unfinishedApps_ == 0)
         return;
-    if (config_.fastForward && smsStalled_) {
-        // Replicate the tick-mode fast-forward jump bit for bit --
-        // including its deferral of observer samples and checkpoints
-        // to the first live tick past the jump. If it declines, the
-        // grid-clamped generic jump below still applies.
-        const Cycle before = now_;
-        maybeFastForward();
-        if (now_ != before)
-            return;
-    }
     Cycle to = std::min(eventNextCycle(), config_.maxCycles);
     // A waiting request driver's next arrival is an exact event: the
     // tick at the wake cycle runs live (tickOnce re-arms kernel
@@ -491,16 +437,11 @@ GpuSystem::run()
             jumpToNextEvent();
             if (now_ >= config_.maxCycles)
                 break;
-        } else if (smsStalled_) {
-            maybeFastForward();
-            if (now_ >= config_.maxCycles)
-                break;
         }
         tickOnce();
         if (now_ >= nextCkptAt_) {
             writeCheckpointFile();
-            while (nextCkptAt_ <= now_)
-                nextCkptAt_ += config_.checkpointEvery;
+            nextCkptAt_ += config_.checkpointEvery;
         }
         if (unfinishedApps_ == 0)
             break;
@@ -625,7 +566,6 @@ GpuSystem::savePayload(CkptWriter &w) const
 {
     w.u64(now_);
     w.b(started_);
-    w.b(smsStalled_);
     w.b(manageDirty_);
     w.u32(unfinishedApps_);
     w.u64(instrRetired_);
@@ -678,7 +618,6 @@ GpuSystem::restore(std::istream &is)
     CkptReader r(payload.data(), payload.size());
     now_ = r.u64();
     started_ = r.b();
-    smsStalled_ = r.b();
     manageDirty_ = r.b();
     unfinishedApps_ = r.u32();
     instrRetired_ = r.u64();

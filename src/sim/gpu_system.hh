@@ -9,10 +9,12 @@
  *
  * The cycle core is event-assisted: replies are pushed from the NoC
  * straight into the SMs (no per-SM polling), kernel management runs
- * only on kernel-state transitions, instruction retirement feeds a
- * running counter, and fully-quiescent reconfiguration stalls are
- * fast-forwarded. All of it is bit-exact with the naive per-cycle
- * loop (tests/test_perf_invariance.cc, docs/performance.md).
+ * only on kernel-state transitions, and instruction retirement feeds
+ * a running counter. All of it is bit-exact with the naive per-cycle
+ * loop (tests/test_perf_invariance.cc, docs/performance.md). Two
+ * drivers run the loop: sim_mode=tick ticks every cycle and is the
+ * reference; sim_mode=event jumps the clock over no-op cycles and is
+ * bit-identical to it (tests/test_event_core.cc).
  */
 
 #ifndef AMSC_SIM_GPU_SYSTEM_HH
@@ -190,9 +192,9 @@ class GpuSystem
     Cycle eventNextCycle() const;
 
     /**
-     * Multi-cycle clock jumps taken so far (event-mode jumps and
-     * tick-mode quiescence fast-forwards) and the total number of
-     * no-op ticks they elided. Wall-clock diagnostics only: neither
+     * Multi-cycle clock jumps taken so far by the sim_mode=event
+     * driver (always 0 under tick) and the total number of no-op
+     * ticks they elided. Wall-clock diagnostics only: neither
      * value enters RunResult or the checkpoint payload, so they never
      * perturb bit-exactness -- but a flit NoC whose nextEventCycle()
      * degenerates to `now + 1` shows up as zero jumps on an
@@ -209,9 +211,9 @@ class GpuSystem
      * for counter sampling and stats-window streaming. Pass a null
      * observer (or period 0) to disable. The observer must only read;
      * with it disabled the hot-path cost is a single compare against
-     * kNoCycle. Fast-forwarded quiescent ranges are not sampled
-     * cycle-by-cycle -- the first live tick past the jump catches up
-     * with one call, which keeps fast_forward=0/1 bit-exact.
+     * kNoCycle. Samples land exactly on the period grid under both
+     * drivers: event-mode jumps stop one cycle short of each grid
+     * point and tick onto it.
      */
     void setCycleObserver(Cycle period, CycleObserver obs);
 
@@ -255,22 +257,13 @@ class GpuSystem
     void manageKernels();
     void launchKernel(AppId app, const KernelInfo &kernel);
     bool allWorkDone() const;
-    /**
-     * While every SM is stalled for an LLC reconfiguration and NoC,
-     * DRAM and LLC are quiescent, jump now_ to the next cycle at
-     * which anything can happen instead of empty-ticking towards it.
-     */
-    void maybeFastForward();
 
     /**
      * sim_mode=event core: jump now_ to the earliest component
      * event, compensating every per-cycle counter for the skipped
      * no-op ticks and landing on (one cycle before) each observer,
      * checkpoint and instruction-budget grid point the tick loop
-     * would honor. Inside a fast-forward-eligible stall it defers
-     * to maybeFastForward() verbatim -- including that path's
-     * deferral of grid samples to the first live tick past the
-     * jump -- so both modes emit byte-identical streams.
+     * would honor, so both modes emit byte-identical streams.
      */
     void jumpToNextEvent();
 
@@ -296,7 +289,6 @@ class GpuSystem
     Cycle programWakeAt_ = kNoCycle;
 
     Cycle now_ = 0;
-    bool smsStalled_ = false;
     /** run() has performed its initial kernel launches (serialized:
      *  a restored run must not relaunch before the first tick). */
     bool started_ = false;

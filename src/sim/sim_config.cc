@@ -557,9 +557,6 @@ buildRegistry()
         AMSC_U64_KEY("max_instructions", maxInstructions,
                      "Instruction budget per run (0 = unlimited)."),
         AMSC_U64_KEY("seed", seed, "Master RNG seed."),
-        AMSC_BOOL_KEY("fast_forward", fastForward,
-                      "Skip fully-quiescent reconfiguration stalls "
-                      "(bit-exact; see docs/performance.md)."),
         {"sim_mode", "enum", "tick|event",
          "Cycle-core driver: per-cycle tick loop, or event-driven "
          "clock jumps to the earliest advertised component event. "

@@ -148,13 +148,6 @@ struct SimConfig
     std::uint64_t maxInstructions = 0; ///< 0 = unlimited
     std::uint64_t seed = 42;
     /**
-     * Skip fully-quiescent stall cycles (LLC reconfiguration
-     * countdowns) instead of empty-ticking them. Bit-exact with the
-     * unskipped run (see docs/performance.md); the switch exists so
-     * tests can prove that.
-     */
-    bool fastForward = true;
-    /**
      * Cycle-core driver: the per-cycle tick loop, or event-driven
      * jumps of the global clock to the earliest advertised
      * component event. Bit-identical results and emitted streams
@@ -164,10 +157,9 @@ struct SimConfig
     SimMode simMode = SimMode::Tick;
     /**
      * Write a crash-recovery checkpoint every N cycles during run()
-     * (0 = off; requires checkpoint_path). The grid is aligned to
-     * absolute cycle numbers; a fast-forward jump over a grid point
-     * checkpoints at the first live tick past it. Restoring the file
-     * and running to completion is bit-identical to the unbroken run
+     * (0 = off; requires checkpoint_path), at exact multiples of N
+     * under both drivers. Restoring the file and running to
+     * completion is bit-identical to the unbroken run
      * (docs/robustness.md).
      */
     Cycle checkpointEvery = 0;

@@ -10,9 +10,9 @@
  * (workloads/llm_inference.hh). Kernel management asks the program
  * for work whenever the application is idle; a program with no work
  * ready advertises the exact cycle more can appear (the next request
- * arrival), which the event core and the quiescence fast-forward use
- * as a jump clamp, so open-loop serving runs stay bit-identical
- * between sim_mode=tick and sim_mode=event.
+ * arrival), which the event core uses as a jump clamp, so open-loop
+ * serving runs stay bit-identical between sim_mode=tick and
+ * sim_mode=event.
  *
  * Contract:
  *  - nextKernel(now) may mutate program state (pop queues, form

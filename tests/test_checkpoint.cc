@@ -7,8 +7,8 @@
  *    running to completion yields a RunResult *bit-identical* to the
  *    unbroken run -- across workload classes, multi-kernel
  *    sequences, atomics, the adaptive controller, multi-program
- *    partitions, record/replay workloads, fast-forward on/off and
- *    every mem_backend preset.
+ *    partitions, record/replay workloads and every mem_backend
+ *    preset.
  *  - Container integrity: any truncation, bit flip, version or
  *    config mismatch throws FormatError with the offending offset;
  *    a half-written checkpoint is never half-restored.
@@ -215,16 +215,6 @@ TEST(CheckpointEquivalence, AdaptiveController)
     expectRestoreEquivalent(cfg,
                             singleApp(AccessPattern::Broadcast),
                             {999, 1024, 3000});
-}
-
-TEST(CheckpointEquivalence, FastForwardOff)
-{
-    SimConfig cfg = smallConfig();
-    cfg.fastForward = false;
-    ConfigRegistry::apply(cfg, "llc_policy", "adaptive");
-    expectRestoreEquivalent(cfg,
-                            singleApp(AccessPattern::Broadcast),
-                            {1024, 3000});
 }
 
 TEST(CheckpointEquivalence, MemBackendPresets)

@@ -8,9 +8,10 @@
  * three directions:
  *
  *  - differential runs: representative configurations (adaptive
- *    transitions, multi-program partitioning, every NoC topology,
- *    fast-forward, instruction budgets) run under both drivers and
- *    the RunResults are compared with identicalResults();
+ *    transitions with short and long power-gate stalls, multi-program
+ *    partitioning, every NoC topology, idle-heavy runs, instruction
+ *    budgets) run under both drivers and the RunResults are compared
+ *    with identicalResults();
  *  - randomized differential fuzz: a fixed-seed slice of the
  *    scenario fuzzer (scenario/diff_fuzz.hh) -- the CLI counterpart
  *    is `amsc fuzz`, which reruns campaigns at scale;
@@ -19,9 +20,10 @@
  *    observable state (the "no component mutates early" rule), that
  *    the advertised event is stable across the no-op ticks it
  *    skips, and that a finished system is quiescent (kNoCycle);
- *  - checkpointing under event mode: periodic checkpoints land on
- *    the exact grid cycles the tick loop honors even when the clock
- *    jumps across them, the bytes match tick-mode bytes, and a
+ *  - checkpointing under event mode: periodic checkpoints and
+ *    stats-stream windows land on their exact grid cycles under both
+ *    drivers even when a reconfiguration stall or an idle stretch
+ *    spans them, the bytes match tick-mode bytes, and a
  *    checkpoint taken under one driver restores under the other
  *    (sim_mode is identity-excluded) to a bit-identical end state.
  *
@@ -41,6 +43,8 @@
 
 #include "common/ckpt.hh"
 #include "noc/network_factory.hh"
+#include "obs/json_min.hh"
+#include "obs/recorder.hh"
 #include "scenario/diff_fuzz.hh"
 #include "sim/gpu_system.hh"
 #include "workloads/trace_gen.hh"
@@ -207,15 +211,32 @@ TEST(EventCore, MatchesTickOnDefaultWorkload)
 
 TEST(EventCore, MatchesTickAcrossAdaptiveTransitions)
 {
-    SimConfig cfg = smallConfig();
-    cfg.llcPolicy = LlcPolicy::Adaptive;
-    cfg.missTolerance = 0.3; // cross reconfigurations at this scale
-    const RunResult tick =
-        runMode(cfg, SimMode::Tick, {broadcastWorkload(5)});
-    ASSERT_GT(tick.llcCtrl.transitionsToPrivate, 0u);
-    const RunResult event =
-        runMode(cfg, SimMode::Event, {broadcastWorkload(5)});
-    EXPECT_TRUE(identicalResults(tick, event));
+    // Every reconfiguration stalls all SMs while the LLC drains and
+    // power-gates; the event core jumps those stalls. A long gate
+    // delay maximizes the skipped cycles, and the ideal NoC reports
+    // exact events inside the drain phases as well.
+    SimConfig base = smallConfig();
+    base.llcPolicy = LlcPolicy::Adaptive;
+    base.missTolerance = 0.3; // cross reconfigurations at this scale
+    std::vector<std::pair<std::string, SimConfig>> cases;
+    for (const Cycle gate_delay : {30u, 300u}) {
+        SimConfig cfg = base;
+        cfg.gateDelay = gate_delay;
+        cases.emplace_back("gate_delay=" + std::to_string(gate_delay),
+                           cfg);
+    }
+    SimConfig ideal = base;
+    ideal.topology = NocTopology::Ideal;
+    cases.emplace_back("ideal noc", ideal);
+
+    for (const auto &[label, cfg] : cases) {
+        const RunResult tick =
+            runMode(cfg, SimMode::Tick, {broadcastWorkload(5)});
+        ASSERT_GT(tick.llcCtrl.transitionsToPrivate, 0u) << label;
+        const RunResult event =
+            runMode(cfg, SimMode::Event, {broadcastWorkload(5)});
+        EXPECT_TRUE(identicalResults(tick, event)) << label;
+    }
 }
 
 TEST(EventCore, MatchesTickOnMultiProgramPartition)
@@ -238,14 +259,13 @@ TEST(EventCore, MatchesTickOnEveryTopology)
     }
 }
 
-TEST(EventCore, MatchesTickOnIdleHeavyFastForwardRun)
+TEST(EventCore, MatchesTickOnIdleHeavyRun)
 {
     SimConfig cfg = smallConfig();
     cfg.topology = NocTopology::Ideal;
     cfg.idealNocLatency = 200;
     cfg.llcMissLatency = 100;
     cfg.l1Latency = 100;
-    cfg.fastForward = true;
     cfg.maxCycles = 2000000;
     expectModesIdentical(cfg, {idleHeavyWorkload(3)});
 }
@@ -374,6 +394,14 @@ TEST(EventCore, MatchesTickUnderInstructionBudget)
     SimConfig cfg = smallConfig();
     cfg.maxInstructions = 5000;
     expectModesIdentical(cfg, {defaultWorkload()});
+
+    // The budget check must stop on the same 128-cycle boundary
+    // after reconfiguration stalls the event core jumped.
+    SimConfig adaptive = smallConfig();
+    adaptive.llcPolicy = LlcPolicy::Adaptive;
+    adaptive.missTolerance = 0.3;
+    adaptive.maxInstructions = 50000;
+    expectModesIdentical(adaptive, {broadcastWorkload(5)});
 }
 
 TEST(EventCore, MatchesTickAtMaxCyclesCutoff)
@@ -540,48 +568,119 @@ slurpFile(const std::string &path)
     return ss.str();
 }
 
+/** Cycle of every record of the stats-stream text @p jsonl. */
+std::vector<Cycle>
+windowCycles(const std::string &jsonl)
+{
+    std::vector<Cycle> out;
+    std::istringstream is(jsonl);
+    std::string line;
+    while (std::getline(is, line)) {
+        obs::JsonValue v;
+        std::string err;
+        EXPECT_TRUE(obs::parseJson(line, v, err)) << err;
+        const obs::JsonValue *cycle = v.find("cycle");
+        EXPECT_NE(cycle, nullptr) << line;
+        if (cycle)
+            out.push_back(static_cast<Cycle>(cycle->number));
+    }
+    return out;
+}
+
+/**
+ * Run @p cfg under both drivers with periodic checkpoints and a stats
+ * stream. The last checkpoint and every stats window (bar the final
+ * flush at the end of the run) must sit on an exact multiple of its
+ * period, with no grid point missing; both drivers must write
+ * identical bytes and RunResults.
+ */
+void
+expectSamplesOnGrid(const SimConfig &cfg,
+                    const std::vector<KernelInfo> &work,
+                    const std::string &label)
+{
+    std::string ckpt[2], windows[2];
+    RunResult results[2];
+    for (int m = 0; m < 2; ++m) {
+        const std::string tag =
+            label + (m == 0 ? "_tick" : "_event");
+        SimConfig c = cfg;
+        c.simMode = m == 0 ? SimMode::Tick : SimMode::Event;
+        c.checkpointPath = tmpPath(tag + ".ckpt");
+        c.statsStreamOut = tmpPath(tag + ".jsonl");
+        GpuSystem gpu(c);
+        gpu.setWorkload(0, work);
+        const auto rec = obs::TimelineRecorder::fromConfig(gpu);
+        results[m] = gpu.run();
+        const RunResult &r = results[m];
+        if (rec)
+            rec->finish();
+        ASSERT_GT(r.cycles, cfg.checkpointEvery) << tag;
+        ckpt[m] = slurpFile(c.checkpointPath);
+
+        // Restore the last periodic checkpoint and verify it was
+        // taken on the exact grid.
+        GpuSystem restored(c);
+        restored.setWorkload(0, work);
+        std::istringstream is(ckpt[m]);
+        restored.restore(is);
+        EXPECT_GT(restored.now(), 0u) << tag;
+        EXPECT_EQ(restored.now() % cfg.checkpointEvery, 0u)
+            << tag << " checkpoint off-grid at cycle "
+            << restored.now();
+        std::remove(c.checkpointPath.c_str());
+
+        windows[m] = slurpFile(c.statsStreamOut);
+        const Cycle period = cfg.statsStreamPeriod;
+        const std::vector<Cycle> cycles = windowCycles(windows[m]);
+        EXPECT_EQ(cycles.size(),
+                  r.cycles / period + (r.cycles % period != 0))
+            << tag << ": grid windows missing";
+        for (const Cycle at : cycles) {
+            if (at != r.cycles) {
+                EXPECT_EQ(at % period, 0u)
+                    << tag << " window off-grid at cycle " << at;
+            }
+        }
+        std::remove(c.statsStreamOut.c_str());
+    }
+    EXPECT_TRUE(identicalResults(results[0], results[1])) << label;
+    EXPECT_EQ(ckpt[0], ckpt[1])
+        << label << ": periodic checkpoint bytes differ between drivers";
+    EXPECT_EQ(windows[0], windows[1])
+        << label << ": stats-stream bytes differ between drivers";
+}
+
 } // namespace
 
 TEST(EventCore, PeriodicCheckpointLandsOnGridAcrossJumps)
 {
     // Idle-heavy run: the event core jumps hundreds of cycles at a
-    // time, yet the periodic checkpoint must still be taken at an
-    // exact multiple of checkpoint_every, with bytes identical to
-    // the tick driver's.
-    SimConfig cfg = smallConfig();
-    cfg.topology = NocTopology::Ideal;
-    cfg.idealNocLatency = 200;
-    cfg.llcMissLatency = 100;
-    cfg.l1Latency = 100;
-    cfg.maxCycles = 500000;
-    cfg.checkpointEvery = 4096;
+    // time, yet periodic checkpoints and stats windows must still
+    // land on exact multiples of their periods, with bytes identical
+    // to the tick driver's.
+    SimConfig idle = smallConfig();
+    idle.topology = NocTopology::Ideal;
+    idle.idealNocLatency = 200;
+    idle.llcMissLatency = 100;
+    idle.l1Latency = 100;
+    idle.maxCycles = 500000;
+    idle.checkpointEvery = 4096;
+    expectSamplesOnGrid(idle, idleHeavyWorkload(3), "idle");
 
-    std::string bytes[2];
-    for (int m = 0; m < 2; ++m) {
-        SimConfig c = cfg;
-        c.simMode = m == 0 ? SimMode::Tick : SimMode::Event;
-        c.checkpointPath =
-            tmpPath(m == 0 ? "grid_tick.ckpt" : "grid_event.ckpt");
-        GpuSystem gpu(c);
-        gpu.setWorkload(0, idleHeavyWorkload(3));
-        const RunResult r = gpu.run();
-        ASSERT_GT(r.cycles, cfg.checkpointEvery);
-        bytes[m] = slurpFile(c.checkpointPath);
-
-        // Restore the last periodic checkpoint and verify it was
-        // taken on the exact grid.
-        GpuSystem restored(c);
-        restored.setWorkload(0, idleHeavyWorkload(3));
-        std::istringstream is(bytes[m]);
-        restored.restore(is);
-        EXPECT_GT(restored.now(), 0u);
-        EXPECT_EQ(restored.now() % cfg.checkpointEvery, 0u)
-            << (m == 0 ? "tick" : "event")
-            << " checkpoint off-grid at cycle " << restored.now();
-        std::remove(c.checkpointPath.c_str());
-    }
-    EXPECT_EQ(bytes[0], bytes[1])
-        << "periodic checkpoint bytes differ between drivers";
+    // Adaptive run whose two reconfigurations stall every SM for
+    // ~300 cycles (cycles ~1255-1557 and ~20094-20395 of a
+    // ~23.9k-cycle run): each stall spans stats-window grid points,
+    // and the run's last checkpoint grid point (20200) lies inside
+    // the second. The timeline observers ride along (null sink).
+    SimConfig adaptive = smallConfig();
+    adaptive.llcPolicy = LlcPolicy::Adaptive;
+    adaptive.missTolerance = 0.3;
+    adaptive.gateDelay = 300;
+    adaptive.timeline = true;
+    adaptive.statsStreamPeriod = 100;
+    adaptive.checkpointEvery = 4040;
+    expectSamplesOnGrid(adaptive, broadcastWorkload(5), "adaptive");
 }
 
 TEST(EventCore, CheckpointRestoresAcrossDrivers)

@@ -360,4 +360,27 @@ TEST(Sm, DoneRequiresAllCtas)
     EXPECT_TRUE(rig.sm.done());
 }
 
+TEST(Sm, WarpSlotsAreAllFreedAfterEveryKernel)
+{
+    // A completing CTA frees every finished warp slot carrying its
+    // id. Back-to-back kernels reuse CTA id 1; a slot left behind by
+    // any of them shows up as an 8-warp CTA that can never start on
+    // the 8-slot SM (long serving runs used to deadlock this way).
+    SmRig rig;
+    const KernelInfo k = scriptKernel({100, 228, 356}, 2, 1, 4);
+    Cycle now = 0;
+    for (int i = 0; i < 3; ++i) {
+        rig.sm.launchKernel(&k, {1}, now);
+        rig.run(2000, now);
+        now += 2000;
+        ASSERT_TRUE(rig.sm.done()) << "kernel " << i;
+    }
+    const KernelInfo wide =
+        scriptKernel({100}, 1, 1, rig.sp.maxResidentWarps);
+    rig.sm.launchKernel(&wide, {0}, now);
+    rig.run(2000, now);
+    EXPECT_TRUE(rig.sm.done()) << "8-warp CTA never found free slots";
+    EXPECT_EQ(rig.sm.stats().ctasCompleted, 4u);
+}
+
 } // namespace amsc

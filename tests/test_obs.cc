@@ -7,12 +7,13 @@
  * changes the simulation: a run with any sink attached (null or
  * file) produces a RunResult bit-identical to a run with none, and
  * that invariance must compose with every other execution mode the
- * simulator supports (record/replay, fast-forward, multi-program,
- * threaded sweeps). The output side is held to what a human loading
- * the files would assume: the Perfetto JSON passes the structural
- * checker (balanced phases, monotonic per-track timestamps,
- * annotated decisions) and the JSONL stats stream parses line by
- * line with windows that reconcile against the final RunResult.
+ * simulator supports (record/replay, both cycle-core drivers,
+ * multi-program, threaded sweeps). The output side is held to what a
+ * human loading the files would assume: the Perfetto JSON passes the
+ * structural checker (balanced phases, monotonic per-track
+ * timestamps, annotated decisions) and the JSONL stats stream parses
+ * line by line with windows that reconcile against the final
+ * RunResult.
  */
 
 #include <gtest/gtest.h>
@@ -273,33 +274,13 @@ TEST(Obs, RecordReplayWithTimelineIsBitExact)
     std::remove(path.c_str());
 }
 
-TEST(Obs, FastForwardWithTimelineIsBitExact)
-{
-    // The quiescence fast-forward coalesces skipped cycles into one
-    // late observer sample; since observers only read, the results
-    // must still match -- with the timeline on in both runs and
-    // between timeline on/off.
-    SimConfig cfg = adaptiveConfig();
-    cfg.gateDelay = 300;
-    cfg.timeline = true;
-
-    cfg.fastForward = false;
-    const RunResult slow = runObserved(cfg);
-    cfg.fastForward = true;
-    const RunResult fast = runObserved(cfg);
-    ASSERT_GT(slow.llcCtrl.transitionsToPrivate, 0u);
-    EXPECT_TRUE(identicalResults(slow, fast));
-}
-
 TEST(Obs, EventModeOutputsAreByteIdentical)
 {
     // The sim_mode=event driver jumps the clock between events, yet
     // every stats-stream window and every timeline sample must land
     // on exactly the cycles the tick driver produces: both output
-    // files are compared byte for byte, not "close enough". Runs
-    // with fast_forward on so the jump paths compose.
+    // files are compared byte for byte, not "close enough".
     SimConfig cfg = adaptiveConfig();
-    cfg.fastForward = true;
     std::string traces[2], streams[2];
     RunResult results[2];
     for (int m = 0; m < 2; ++m) {

@@ -5,15 +5,16 @@
  *
  * The cycle core carries several hot-path optimizations (push-model
  * reply delivery, event-driven kernel management, running retirement
- * counter, scheduler fast path, quiescence fast-forward). Their
- * contract is: the observable RunResult is identical, bit for bit,
- * to the naive per-cycle loop. This file pins that contract:
+ * counter, scheduler fast path). Their contract is: the observable
+ * RunResult is identical, bit for bit, to the naive per-cycle loop.
+ * This file pins that contract (the event-driven clock jumps are
+ * pinned against the tick loop in tests/test_event_core.cc):
  *
  *  - record/replay invariance per workload class (single-app,
  *    multi-kernel, multi-program): a recorded run replays to the
  *    exact same RunResult through PR 1's trace subsystem;
- *  - fast-forward invariance: runs with fast_forward=0 and =1 are
- *    identical even across many reconfiguration stalls;
+ *  - the instruction budget stops runtime-appended work on the same
+ *    check boundary under both drivers;
  *  - sweep invariance: SweepRunner at 4 threads returns results
  *    identical and identically ordered to a sequential loop;
  *  - the running instruction counter matches the per-SM stats sum.
@@ -279,78 +280,6 @@ TEST(PerfInvariance, ReplayMatchesRripRunPerWorkloadClass)
     }
 }
 
-// ------------------------------------------------- fast-forward invariance
-
-TEST(PerfInvariance, FastForwardIsBitExact)
-{
-    // An adaptive run with a long power-gate delay maximizes the
-    // skippable stall cycles; disabling the fast-forward must change
-    // nothing, including the per-cycle mode counters and the NoC
-    // activity snapshot.
-    for (const Cycle gate_delay : {30u, 300u}) {
-        SimConfig cfg = smallConfig();
-        cfg.llcPolicy = LlcPolicy::Adaptive;
-        cfg.missTolerance = 0.3; // ensure transitions at this scale
-        cfg.gateDelay = gate_delay;
-
-        cfg.fastForward = false;
-        GpuSystem slow(cfg);
-        slow.setWorkload(0, broadcastWorkload(5));
-        const RunResult r_slow = slow.run();
-
-        cfg.fastForward = true;
-        GpuSystem fast(cfg);
-        fast.setWorkload(0, broadcastWorkload(5));
-        const RunResult r_fast = fast.run();
-
-        ASSERT_GT(r_slow.llcCtrl.transitionsToPrivate, 0u);
-        EXPECT_TRUE(identicalResults(r_slow, r_fast))
-            << "gate_delay=" << gate_delay;
-    }
-}
-
-TEST(PerfInvariance, FastForwardIsBitExactOnIdealNoc)
-{
-    // The ideal network reports true next-event cycles, so the
-    // fast-forward can jump inside drain phases as well.
-    SimConfig cfg = smallConfig();
-    cfg.topology = NocTopology::Ideal;
-    cfg.llcPolicy = LlcPolicy::Adaptive;
-    cfg.missTolerance = 0.3;
-
-    cfg.fastForward = false;
-    GpuSystem slow(cfg);
-    slow.setWorkload(0, broadcastWorkload(5));
-    const RunResult r_slow = slow.run();
-
-    cfg.fastForward = true;
-    GpuSystem fast(cfg);
-    fast.setWorkload(0, broadcastWorkload(5));
-    const RunResult r_fast = fast.run();
-
-    EXPECT_TRUE(identicalResults(r_slow, r_fast));
-}
-
-TEST(PerfInvariance, FastForwardRespectsInstructionBudget)
-{
-    SimConfig cfg = smallConfig();
-    cfg.llcPolicy = LlcPolicy::Adaptive;
-    cfg.missTolerance = 0.3;
-    cfg.maxInstructions = 50000;
-
-    cfg.fastForward = false;
-    GpuSystem slow(cfg);
-    slow.setWorkload(0, broadcastWorkload(5));
-    const RunResult r_slow = slow.run();
-
-    cfg.fastForward = true;
-    GpuSystem fast(cfg);
-    fast.setWorkload(0, broadcastWorkload(5));
-    const RunResult r_fast = fast.run();
-
-    EXPECT_TRUE(identicalResults(r_slow, r_fast));
-}
-
 // ------------------------------------ runtime-appended work vs the budget
 
 namespace
@@ -379,8 +308,8 @@ TEST(PerfInvariance, InstructionBudgetHandlesRuntimeAppendedWork)
     // The budget bookkeeping counts *retired* instructions -- never a
     // per-app total fixed at t=0 -- so a request driver that appends
     // work long after launch must still stop the run on the same
-    // 128-cycle check boundary under the plain tick loop, the
-    // quiescence fast-forward and the event core.
+    // 128-cycle check boundary under the tick loop and the event
+    // core.
     SimConfig cfg = smallConfig();
     cfg.maxCycles = 400000;
     cfg.maxInstructions = 20000;
@@ -392,18 +321,14 @@ TEST(PerfInvariance, InstructionBudgetHandlesRuntimeAppendedWork)
         return gpu.run();
     };
 
-    cfg.fastForward = false;
-    const RunResult r_slow = once();
-    cfg.fastForward = true;
-    const RunResult r_fast = once();
+    const RunResult r_tick = once();
     cfg.simMode = SimMode::Event;
     const RunResult r_event = once();
 
-    ASSERT_GE(r_slow.instructions, cfg.maxInstructions);
-    ASSERT_FALSE(r_slow.finishedWork);
-    EXPECT_EQ(r_slow.cycles & 127u, 0u);
-    EXPECT_TRUE(identicalResults(r_slow, r_fast));
-    EXPECT_TRUE(identicalResults(r_slow, r_event));
+    ASSERT_GE(r_tick.instructions, cfg.maxInstructions);
+    ASSERT_FALSE(r_tick.finishedWork);
+    EXPECT_EQ(r_tick.cycles & 127u, 0u);
+    EXPECT_TRUE(identicalResults(r_tick, r_event));
 }
 
 // ----------------------------------------------------- counter invariants
