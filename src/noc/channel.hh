@@ -8,6 +8,10 @@
  * send only while credits remain (guaranteeing the downstream buffer
  * never overflows, per paper section 3.3). The *receiver* returns one
  * credit whenever a flit leaves its input buffer.
+ *
+ * Inside a crossbar network the channel also wakes its endpoints: a
+ * sent flit sets the receiver's live bit and a returned credit the
+ * sender's (noc/live_set.hh), so only components with work are ticked.
  */
 
 #ifndef AMSC_NOC_CHANNEL_HH
@@ -17,6 +21,7 @@
 
 #include "common/delay_queue.hh"
 #include "common/types.hh"
+#include "noc/live_set.hh"
 #include "noc/message.hh"
 
 namespace amsc
@@ -43,6 +48,19 @@ class FlitChannel
         activity_.widthBytes = width_bytes;
     }
 
+    /** Set @p bit (the sender's) on every credit return. */
+    void wireSender(LiveBit bit) { sender_ = bit; }
+
+    /** Set @p bit (the receiver's) on every flit sent. */
+    void wireReceiver(LiveBit bit) { receiver_ = bit; }
+
+    /** True once both endpoints' live bits are wired. */
+    bool
+    liveWired() const
+    {
+        return sender_.wired() && receiver_.wired();
+    }
+
     /** @return true if the sender holds at least one credit. */
     bool canSend() const { return senderCredits_ > 0; }
 
@@ -53,6 +71,7 @@ class FlitChannel
         --senderCredits_;
         flits_.push(std::move(flit), now, flitLatency_);
         ++activity_.flitTraversals;
+        receiver_.set();
     }
 
     /** Receiver: @return true if a flit has arrived by @p now. */
@@ -66,6 +85,7 @@ class FlitChannel
     returnCredit(Cycle now)
     {
         creditReturns_.push(1, now, creditLatency_);
+        sender_.set();
     }
 
     /** Sender: absorb credits that completed the return trip. */
@@ -134,6 +154,9 @@ class FlitChannel
     /** Number of flits currently on the wire. */
     std::size_t flitsInFlight() const { return flits_.size(); }
 
+    /** True while a credit is on its way back to the sender. */
+    bool creditsInFlight() const { return !creditReturns_.empty(); }
+
     const LinkActivity &activity() const { return activity_; }
     LinkActivity &activity() { return activity_; }
 
@@ -168,6 +191,8 @@ class FlitChannel
     DelayQueue<Flit> flits_;
     DelayQueue<std::uint8_t> creditReturns_;
     LinkActivity activity_;
+    LiveBit sender_;
+    LiveBit receiver_;
 };
 
 } // namespace amsc

@@ -85,6 +85,7 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
             ch, dsts, params_.ejectQueueCap,
             [c](std::uint32_t dst) { return dst % c; }));
     }
+    wireLiveSet();
 }
 
 std::string
@@ -145,104 +146,6 @@ ConcentratedXbarNetwork::popReplyFor(SmId sm, Cycle now)
     NocMessage msg = repDist_[sm / conc_]->pop(sm % conc_);
     accountDelivery(repStats_, msg, now);
     return msg;
-}
-
-void
-ConcentratedXbarNetwork::tick(Cycle now)
-{
-    for (auto &a : reqConc_)
-        a->tick(now);
-    for (auto &a : repConc_)
-        a->tick(now);
-    for (auto &r : routers_)
-        r->tick(now);
-    for (auto &a : reqDist_)
-        a->tick(now);
-    for (auto &a : repDist_)
-        a->tick(now);
-    if (replyHandler_) {
-        for (std::size_t d = 0; d < repDist_.size(); ++d) {
-            const std::uint32_t locals = std::min(
-                conc_, params_.numSms -
-                    static_cast<std::uint32_t>(d) * conc_);
-            for (std::uint32_t local = 0; local < locals; ++local) {
-                while (repDist_[d]->hasMessage(local)) {
-                    const NocMessage msg = repDist_[d]->pop(local);
-                    accountDelivery(repStats_, msg, now);
-                    replyHandler_(msg, now);
-                }
-            }
-        }
-    }
-}
-
-Cycle
-ConcentratedXbarNetwork::nextEventCycle(Cycle now) const
-{
-    Cycle next = CrossbarBase::nextEventCycle(now);
-    for (const auto &a : reqConc_)
-        next = std::min(next, a->nextEventCycle());
-    for (const auto &a : repConc_)
-        next = std::min(next, a->nextEventCycle());
-    return next;
-}
-
-bool
-ConcentratedXbarNetwork::drained() const
-{
-    for (const auto &a : reqConc_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &a : repConc_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &r : routers_) {
-        if (!r->drained())
-            return false;
-    }
-    for (const auto &a : reqDist_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &a : repDist_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &ch : channels_) {
-        if (!ch->quiescent())
-            return false;
-    }
-    return true;
-}
-
-void
-ConcentratedXbarNetwork::saveCkpt(CkptWriter &w) const
-{
-    CrossbarBase::saveCkpt(w);
-    for (const auto &a : reqConc_)
-        a->saveCkpt(w);
-    for (const auto &a : reqDist_)
-        a->saveCkpt(w);
-    for (const auto &a : repConc_)
-        a->saveCkpt(w);
-    for (const auto &a : repDist_)
-        a->saveCkpt(w);
-}
-
-void
-ConcentratedXbarNetwork::loadCkpt(CkptReader &r)
-{
-    CrossbarBase::loadCkpt(r);
-    for (auto &a : reqConc_)
-        a->loadCkpt(r);
-    for (auto &a : reqDist_)
-        a->loadCkpt(r);
-    for (auto &a : repConc_)
-        a->loadCkpt(r);
-    for (auto &a : repDist_)
-        a->loadCkpt(r);
 }
 
 } // namespace amsc

@@ -8,16 +8,14 @@
  * radix by c in each dimension -- and the bisection bandwidth by c at
  * equal channel width. Shared-port contention is modeled in the
  * adapters, which is why C-Xbar\@8 underperforms H-Xbar at the same
- * bisection bandwidth in Figure 7a.
+ * bisection bandwidth in Figure 7a. The adapters live in CrossbarBase's
+ * concentrator/distributor vectors, so ticking, event advertisement and
+ * checkpointing are the base's; this class maps endpoints onto ports.
  */
 
 #ifndef AMSC_NOC_CONCENTRATED_XBAR_HH
 #define AMSC_NOC_CONCENTRATED_XBAR_HH
 
-#include <memory>
-#include <vector>
-
-#include "noc/concentrator.hh"
 #include "noc/crossbar_base.hh"
 
 namespace amsc
@@ -38,18 +36,6 @@ class ConcentratedXbarNetwork : public CrossbarBase
     NocMessage popRequestFor(SliceId slice, Cycle now) override;
     bool hasReplyFor(SmId sm) const override;
     NocMessage popReplyFor(SmId sm, Cycle now) override;
-    void tick(Cycle now) override;
-    bool drained() const override;
-
-    /**
-     * Base events (routers + channels; the base endpoint vectors are
-     * empty here) plus the concentrators' earliest sendable cycles.
-     * Distributors need no term: they act only on channel arrivals,
-     * which the base channel scan already advertises.
-     */
-    Cycle nextEventCycle(Cycle now) const override;
-    void saveCkpt(CkptWriter &w) const override;
-    void loadCkpt(CkptReader &r) override;
 
     std::string name() const override;
 
@@ -57,10 +43,6 @@ class ConcentratedXbarNetwork : public CrossbarBase
     std::uint32_t conc_;
     std::uint32_t reqPorts_;
     std::uint32_t repPorts_;
-    std::vector<std::unique_ptr<ConcentratorAdapter>> reqConc_;
-    std::vector<std::unique_ptr<DistributorAdapter>> reqDist_;
-    std::vector<std::unique_ptr<ConcentratorAdapter>> repConc_;
-    std::vector<std::unique_ptr<DistributorAdapter>> repDist_;
 };
 
 } // namespace amsc

@@ -16,6 +16,7 @@
 #ifndef AMSC_NOC_CONCENTRATOR_HH
 #define AMSC_NOC_CONCENTRATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -26,6 +27,7 @@
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
+#include "noc/live_set.hh"
 #include "noc/message.hh"
 
 namespace amsc
@@ -54,6 +56,18 @@ class ConcentratorAdapter
             panic("concentrator queue overflow");
         msg.injectCycle = now;
         queues_[local_src].push_back(msg);
+        self_.set();
+    }
+
+    /**
+     * Wire this adapter's live bit: set on accept() and, through the
+     * shared output channel, on every credit return.
+     */
+    void
+    wireLive(LiveBit self)
+    {
+        self_ = self;
+        out_->wireSender(self);
     }
 
     /** Stream one flit of the current packet, or arbitrate a new one. */
@@ -104,15 +118,29 @@ class ConcentratorAdapter
     }
 
     /**
-     * Earliest cycle tick() could stream a flit: kNoCycle while every
-     * source queue is empty (a mid-packet cursor implies a non-empty
-     * queue, so drained() covers it), otherwise the shared channel's
-     * next sendable cycle.
+     * True when tick() is a no-op until an accept() or a credit
+     * return wakes the adapter: every source queue empty (a
+     * mid-packet cursor implies a non-empty queue), no credit in
+     * flight.
+     */
+    bool
+    idle() const
+    {
+        return drained() && !out_->creditsInFlight();
+    }
+
+    /**
+     * Earliest cycle tick() could change state: the shared channel's
+     * next credit return, and while any source queue holds a message
+     * its next sendable cycle.
      */
     Cycle
     nextEventCycle() const
     {
-        return drained() ? kNoCycle : out_->nextSendableCycle();
+        const Cycle credit = out_->nextCreditCycle();
+        return drained()
+            ? credit
+            : std::min(credit, out_->nextSendableCycle());
     }
 
     /** Serialize per-source queues, arbiter and streaming cursor. */
@@ -157,6 +185,7 @@ class ConcentratorAdapter
     RoundRobinArbiter arb_;
     std::uint32_t current_ = kInvalidId;
     std::uint32_t flitsSent_ = 0;
+    LiveBit self_;
 };
 
 /** 1-to-c ejection distributor with per-destination queues. */
@@ -215,6 +244,33 @@ class DistributorAdapter
             queues_[pendingLocal_].push_back(pending_);
             havePending_ = false;
         }
+    }
+
+    /** Wire this adapter's live bit: set on every flit sent to it. */
+    void wireLive(LiveBit self) { in_->wireReceiver(self); }
+
+    /**
+     * True when tick() is a no-op until a flit is sent to the adapter
+     * and no delivered message waits: drained, nothing on the input
+     * wire.
+     */
+    bool
+    idle() const
+    {
+        return drained() && in_->flitsInFlight() == 0;
+    }
+
+    /**
+     * Earliest cycle tick() could receive a flit: the input channel's
+     * next arrival. A delivered message is the consumer's event.
+     */
+    Cycle nextEventCycle() const { return in_->nextArrivalCycle(); }
+
+    /** Endpoints sharing this port. */
+    std::uint32_t
+    numDsts() const
+    {
+        return static_cast<std::uint32_t>(queues_.size());
     }
 
     bool

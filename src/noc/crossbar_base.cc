@@ -1,5 +1,7 @@
 #include "noc/crossbar_base.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace amsc
@@ -91,18 +93,82 @@ CrossbarBase::popReplyFor(SmId sm, Cycle now)
 }
 
 void
+CrossbarBase::wireLiveSet()
+{
+    sinkBase_ = reqInj_.size() + repInj_.size() + reqConc_.size() +
+        repConc_.size() + routers_.size();
+    live_.init(sinkBase_ + reqEj_.size() + repEj_.size() +
+               reqDist_.size() + repDist_.size());
+    std::size_t i = 0;
+    auto wire = [this, &i](auto &group) {
+        for (auto &c : group)
+            c->wireLive(live_.bit(i++));
+    };
+    wire(reqInj_);
+    wire(repInj_);
+    wire(reqConc_);
+    wire(repConc_);
+    wire(routers_);
+    wire(reqEj_);
+    wire(repEj_);
+    wire(reqDist_);
+    wire(repDist_);
+    for (const auto &ch : channels_) {
+        if (!ch->liveWired())
+            panic("NoC channel lacks a live sender or receiver");
+    }
+}
+
+template <typename T>
+std::size_t
+CrossbarBase::tickLive(std::vector<std::unique_ptr<T>> &v,
+                       std::size_t base, Cycle now)
+{
+    const std::size_t end = base + v.size();
+    live_.forEach(base, end, [&](std::size_t i) {
+        T &c = *v[i - base];
+        c.tick(now);
+        if (c.idle())
+            live_.clear(i);
+    });
+    return end;
+}
+
+template <typename T>
+std::size_t
+CrossbarBase::minLiveEvent(const std::vector<std::unique_ptr<T>> &v,
+                           std::size_t base, Cycle &next) const
+{
+    const std::size_t end = base + v.size();
+    live_.forEach(base, end, [&](std::size_t i) {
+        next = std::min(next, v[i - base]->nextEventCycle());
+    });
+    return end;
+}
+
+void
 CrossbarBase::tick(Cycle now)
 {
-    for (auto &inj : reqInj_)
-        inj->tick(now);
-    for (auto &inj : repInj_)
-        inj->tick(now);
-    for (auto &r : routers_)
-        r->tick(now);
-    for (auto &ej : reqEj_)
-        ej->tick(now);
-    for (auto &ej : repEj_)
-        ej->tick(now);
+    std::size_t i = tickLive(reqInj_, 0, now);
+    i = tickLive(repInj_, i, now);
+    i = tickLive(reqConc_, i, now);
+    i = tickLive(repConc_, i, now);
+    // Each router's bit is read on its turn: a router that an earlier
+    // one fed over a zero-latency link ticks in the same cycle.
+    for (auto &r : routers_) {
+        if (live_.test(i)) {
+            r->tick(now);
+            if (r->idle())
+                live_.clear(i);
+        } else {
+            r->skipIdleCycles(1);
+        }
+        ++i;
+    }
+    i = tickLive(reqEj_, i, now);
+    i = tickLive(repEj_, i, now);
+    i = tickLive(reqDist_, i, now);
+    tickLive(repDist_, i, now);
     deliverReplies(now);
 }
 
@@ -111,13 +177,32 @@ CrossbarBase::deliverReplies(Cycle now)
 {
     if (!replyHandler_)
         return;
-    for (auto &ej : repEj_) {
-        while (ej->hasMessage()) {
-            const NocMessage msg = ej->pop();
-            accountDelivery(repStats_, msg, now);
-            replyHandler_(msg, now);
+    auto deliver = [this, now](const NocMessage &msg) {
+        accountDelivery(repStats_, msg, now);
+        replyHandler_(msg, now);
+    };
+    // A reply sink holding a message stays live, so only live sinks
+    // can have anything to deliver.
+    std::size_t base = sinkBase_ + reqEj_.size();
+    std::size_t end = base + repEj_.size();
+    live_.forEach(base, end, [&](std::size_t i) {
+        EjectionAdapter &ej = *repEj_[i - base];
+        while (ej.hasMessage())
+            deliver(ej.pop());
+        if (ej.idle())
+            live_.clear(i);
+    });
+    base = end + reqDist_.size();
+    end = base + repDist_.size();
+    live_.forEach(base, end, [&](std::size_t i) {
+        DistributorAdapter &d = *repDist_[i - base];
+        for (std::uint32_t local = 0; local < d.numDsts(); ++local) {
+            while (d.hasMessage(local))
+                deliver(d.pop(local));
         }
-    }
+        if (d.idle())
+            live_.clear(i);
+    });
 }
 
 Cycle
@@ -125,16 +210,15 @@ CrossbarBase::nextEventCycle(Cycle now) const
 {
     (void)now;
     Cycle next = kNoCycle;
-    for (const auto &inj : reqInj_)
-        next = std::min(next, inj->nextEventCycle());
-    for (const auto &inj : repInj_)
-        next = std::min(next, inj->nextEventCycle());
-    for (const auto &r : routers_)
-        next = std::min(next, r->nextEventCycle());
-    for (const auto &ch : channels_) {
-        next = std::min(next, ch->nextArrivalCycle());
-        next = std::min(next, ch->nextCreditCycle());
-    }
+    std::size_t i = minLiveEvent(reqInj_, 0, next);
+    i = minLiveEvent(repInj_, i, next);
+    i = minLiveEvent(reqConc_, i, next);
+    i = minLiveEvent(repConc_, i, next);
+    i = minLiveEvent(routers_, i, next);
+    i = minLiveEvent(reqEj_, i, next);
+    i = minLiveEvent(repEj_, i, next);
+    i = minLiveEvent(reqDist_, i, next);
+    minLiveEvent(repDist_, i, next);
     return next;
 }
 
@@ -145,29 +229,31 @@ CrossbarBase::advanceIdleCycles(Cycle n)
         r->skipIdleCycles(n);
 }
 
+namespace
+{
+
+template <typename T>
+bool
+allDrained(const std::vector<std::unique_ptr<T>> &v)
+{
+    for (const auto &c : v) {
+        if (!c->drained())
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 bool
 CrossbarBase::drained() const
 {
-    for (const auto &inj : reqInj_) {
-        if (!inj->drained())
-            return false;
-    }
-    for (const auto &inj : repInj_) {
-        if (!inj->drained())
-            return false;
-    }
-    for (const auto &r : routers_) {
-        if (!r->drained())
-            return false;
-    }
-    for (const auto &ej : reqEj_) {
-        if (!ej->drained())
-            return false;
-    }
-    for (const auto &ej : repEj_) {
-        if (!ej->drained())
-            return false;
-    }
+    if (!allDrained(reqInj_) || !allDrained(repInj_) ||
+        !allDrained(reqConc_) || !allDrained(repConc_) ||
+        !allDrained(routers_) || !allDrained(reqEj_) ||
+        !allDrained(repEj_) || !allDrained(reqDist_) ||
+        !allDrained(repDist_))
+        return false;
     for (const auto &ch : channels_) {
         if (!ch->quiescent())
             return false;
@@ -196,6 +282,14 @@ CrossbarBase::saveCkpt(CkptWriter &w) const
         inj->saveCkpt(w);
     for (const auto &ej : repEj_)
         ej->saveCkpt(w);
+    for (const auto &a : reqConc_)
+        a->saveCkpt(w);
+    for (const auto &a : reqDist_)
+        a->saveCkpt(w);
+    for (const auto &a : repConc_)
+        a->saveCkpt(w);
+    for (const auto &a : repDist_)
+        a->saveCkpt(w);
 }
 
 void
@@ -218,6 +312,17 @@ CrossbarBase::loadCkpt(CkptReader &r)
         inj->loadCkpt(r);
     for (auto &ej : repEj_)
         ej->loadCkpt(r);
+    for (auto &a : reqConc_)
+        a->loadCkpt(r);
+    for (auto &a : reqDist_)
+        a->loadCkpt(r);
+    for (auto &a : repConc_)
+        a->loadCkpt(r);
+    for (auto &a : repDist_)
+        a->loadCkpt(r);
+    // The live set is derived state: after a restore every component
+    // ticks once and clears its own bit if it is idle.
+    live_.setAll();
 }
 
 NocActivity

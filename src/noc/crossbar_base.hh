@@ -2,11 +2,25 @@
  * @file
  * Shared machinery for crossbar-style networks.
  *
- * Owns the channels, routers and endpoint adapters; provides the
- * default Network implementation for topologies with one injection
- * adapter per SM and one ejection adapter per slice (full crossbar and
- * hierarchical crossbar). The concentrated crossbar overrides the
- * endpoint methods to route through concentrators/distributors.
+ * Owns the channels, routers and endpoint adapters and provides the
+ * Network implementation of all three flit crossbars. Sources are
+ * either one injection adapter per endpoint (full and hierarchical
+ * crossbar) or concentrators shared by several endpoints (concentrated
+ * crossbar); sinks likewise are ejection adapters or distributors. The
+ * concentrated crossbar overrides only the endpoint methods that map
+ * an SM or slice onto its shared port.
+ *
+ * Activity-driven ticking: a LiveSet (noc/live_set.hh) keeps one bit
+ * per source, router and sink. Channels set the receiver's bit on a
+ * flit and the sender's on a credit, injections set the source's, and
+ * a checkpoint restore sets them all. A bit is cleared only right
+ * after the component's own tick (for a reply sink, reply delivery)
+ * leaves it idle, so a clear bit proves its tick is a no-op (a
+ * router's idle tick still counts one active/gated cycle). tick(),
+ * deliverReplies() and nextEventCycle() visit only live components,
+ * in the fixed order sources, routers, sinks; a router woken by an
+ * earlier router in the same cycle ticks in that cycle, as
+ * zero-latency links require.
  */
 
 #ifndef AMSC_NOC_CROSSBAR_BASE_HH
@@ -16,7 +30,9 @@
 #include <vector>
 
 #include "noc/channel.hh"
+#include "noc/concentrator.hh"
 #include "noc/endpoint.hh"
+#include "noc/live_set.hh"
 #include "noc/network.hh"
 #include "noc/noc_params.hh"
 #include "noc/router.hh"
@@ -42,14 +58,16 @@ class CrossbarBase : public Network
     bool drained() const override;
 
     /**
-     * Exact event advertisement: the min over every sub-component's
-     * earliest possible state change -- injection adapters (earliest
-     * sendable cycle while a message is queued), routers (earliest
-     * movable head-of-line flit), and every channel's in-flight flit
-     * and credit fronts. Channel arrivals cover the ejection side:
-     * an ejection/distributor adapter acts only when a flit arrives,
-     * and messages already reassembled are the consumer's event
-     * (the LLC/SM advertises `now` while input is pending).
+     * Exact event advertisement: the min over the live components'
+     * own earliest state changes -- a source's next credit return and,
+     * while it holds a message, its next sendable cycle; a router's
+     * input arrivals, output credit returns and movable head-of-line
+     * flits; a sink's next input arrival. Idle components add
+     * nothing: a flit in flight always has a live receiver and a
+     * credit in flight a live sender, so the minimum equals the one
+     * over every component and channel. Messages already reassembled
+     * at a sink are the consumer's event (the LLC/SM advertises `now`
+     * while input is pending).
      */
     Cycle nextEventCycle(Cycle now) const override;
     void advanceIdleCycles(Cycle n) override;
@@ -69,6 +87,14 @@ class CrossbarBase : public Network
     /** Allocate and register a router. */
     Router *makeRouter(const RouterParams &rp, Router::RouteFn fn);
 
+    /**
+     * Size the live set and wire every adapter, router and channel to
+     * it in one pass. Each topology constructor calls it last, once
+     * all components exist; panics if a channel is left without a
+     * sender or receiver.
+     */
+    void wireLiveSet();
+
     /** Account a delivered message in @p stats. */
     void accountDelivery(NetworkStats &stats, const NocMessage &msg,
                          Cycle now) const;
@@ -76,14 +102,39 @@ class CrossbarBase : public Network
     NocParams params_;
     std::vector<std::unique_ptr<FlitChannel>> channels_;
     std::vector<std::unique_ptr<Router>> routers_;
-    /** Per-SM request sources (may be empty for C-Xbar). */
+    /** Per-SM request sources (empty for C-Xbar). */
     std::vector<std::unique_ptr<InjectionAdapter>> reqInj_;
-    /** Per-slice request sinks (may be empty for C-Xbar). */
+    /** Per-slice request sinks (empty for C-Xbar). */
     std::vector<std::unique_ptr<EjectionAdapter>> reqEj_;
-    /** Per-slice reply sources (may be empty for C-Xbar). */
+    /** Per-slice reply sources (empty for C-Xbar). */
     std::vector<std::unique_ptr<InjectionAdapter>> repInj_;
-    /** Per-SM reply sinks (may be empty for C-Xbar). */
+    /** Per-SM reply sinks (empty for C-Xbar). */
     std::vector<std::unique_ptr<EjectionAdapter>> repEj_;
+    /** Shared request sources, one per SM group (C-Xbar only). */
+    std::vector<std::unique_ptr<ConcentratorAdapter>> reqConc_;
+    /** Shared request sinks, one per slice group (C-Xbar only). */
+    std::vector<std::unique_ptr<DistributorAdapter>> reqDist_;
+    /** Shared reply sources, one per slice group (C-Xbar only). */
+    std::vector<std::unique_ptr<ConcentratorAdapter>> repConc_;
+    /** Shared reply sinks, one per SM group (C-Xbar only). */
+    std::vector<std::unique_ptr<DistributorAdapter>> repDist_;
+
+  private:
+    template <typename T>
+    std::size_t tickLive(std::vector<std::unique_ptr<T>> &v,
+                         std::size_t base, Cycle now);
+    template <typename T>
+    std::size_t minLiveEvent(const std::vector<std::unique_ptr<T>> &v,
+                             std::size_t base, Cycle &next) const;
+
+    /**
+     * One bit per component, in tick order: sources (reqInj_,
+     * repInj_, reqConc_, repConc_), routers (routers_ order), sinks
+     * (reqEj_, repEj_, reqDist_, repDist_).
+     */
+    LiveSet live_;
+    /** Index of the first sink bit. */
+    std::size_t sinkBase_ = 0;
 };
 
 } // namespace amsc

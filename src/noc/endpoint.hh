@@ -19,6 +19,7 @@
 #ifndef AMSC_NOC_ENDPOINT_HH
 #define AMSC_NOC_ENDPOINT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 
@@ -26,6 +27,7 @@
 #include "common/log.hh"
 #include "common/types.hh"
 #include "noc/channel.hh"
+#include "noc/live_set.hh"
 #include "noc/message.hh"
 
 namespace amsc
@@ -56,6 +58,18 @@ class InjectionAdapter
             panic("injection queue overflow");
         msg.injectCycle = now;
         queue_.push_back(msg);
+        self_.set();
+    }
+
+    /**
+     * Wire this adapter's live bit: set on accept() and, through the
+     * output channel, on every credit return.
+     */
+    void
+    wireLive(LiveBit self)
+    {
+        self_ = self;
+        out_->wireSender(self);
     }
 
     /** Transmit up to one flit. */
@@ -84,17 +98,30 @@ class InjectionAdapter
     bool drained() const { return queue_.empty(); }
 
     /**
-     * Earliest cycle tick() could transmit a flit: kNoCycle while the
-     * queue is empty (an injection is an externally driven event),
-     * otherwise the channel's next sendable cycle. Never late: with
-     * the queue non-empty, credits appear only through a returned
-     * credit (advertised by the channel) or a downstream pop (the
-     * downstream component's own event).
+     * True when tick() is a no-op until an accept() or a credit
+     * return wakes the adapter: drained, no credit in flight.
+     */
+    bool
+    idle() const
+    {
+        return drained() && !out_->creditsInFlight();
+    }
+
+    /**
+     * Earliest cycle tick() could change state: the output channel's
+     * next credit return, and while a message is queued its next
+     * sendable cycle. Never late: with the queue non-empty, credits
+     * appear only through a returned credit or a downstream pop (the
+     * downstream component's own event); an injection is an
+     * externally driven event.
      */
     Cycle
     nextEventCycle() const
     {
-        return queue_.empty() ? kNoCycle : out_->nextSendableCycle();
+        const Cycle credit = out_->nextCreditCycle();
+        return queue_.empty()
+            ? credit
+            : std::min(credit, out_->nextSendableCycle());
     }
 
     std::size_t queueSize() const { return queue_.size(); }
@@ -129,6 +156,7 @@ class InjectionAdapter
     std::size_t queueCap_;
     std::deque<NocMessage> queue_;
     std::uint32_t flitsSent_ = 0;
+    LiveBit self_;
 };
 
 /** Message sink: reassembles flits from one channel. */
@@ -158,6 +186,26 @@ class EjectionAdapter
         if (flit.tail)
             msgs_.push_back(pending_);
     }
+
+    /** Wire this adapter's live bit: set on every flit sent to it. */
+    void wireLive(LiveBit self) { in_->wireReceiver(self); }
+
+    /**
+     * True when tick() is a no-op until a flit is sent to the adapter
+     * and no delivered message waits: drained, nothing on the input
+     * wire.
+     */
+    bool
+    idle() const
+    {
+        return drained() && in_->flitsInFlight() == 0;
+    }
+
+    /**
+     * Earliest cycle tick() could receive a flit: the input channel's
+     * next arrival. A delivered message is the consumer's event.
+     */
+    Cycle nextEventCycle() const { return in_->nextArrivalCycle(); }
 
     /** @return true if a complete message is available. */
     bool hasMessage() const { return !msgs_.empty(); }

@@ -68,6 +68,7 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
         repEj_.push_back(std::make_unique<EjectionAdapter>(
             ch, params_.ejectQueueCap));
     }
+    wireLiveSet();
 }
 
 } // namespace amsc

@@ -171,6 +171,7 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         repEj_[sm] = std::make_unique<EjectionAdapter>(
             ch, params_.ejectQueueCap);
     }
+    wireLiveSet();
 }
 
 void

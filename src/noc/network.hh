@@ -123,11 +123,14 @@ class Network
      * conservative `now + 1` of this default) is always safe, only
      * slow. Every shipped topology is exact: the ideal NoC advertises
      * its delay-queue fronts, and the crossbars take the min over
-     * per-component events -- router head-of-line flits, endpoint
-     * sendable cycles, and every channel's in-flight flit *and*
-     * credit fronts (credit absorption mutates checkpointed state and
-     * flips drained(), which the LLC reconfiguration FSM polls).
-     * See docs/performance.md ("The event core") for the full rules.
+     * their live components -- router head-of-line flits, endpoint
+     * sendable cycles, and the in-flight flit *and* credit fronts of
+     * each live component's channels (credit absorption mutates
+     * checkpointed state and flips drained(), which the LLC
+     * reconfiguration FSM polls). Skipping idle components leaves the
+     * min unchanged: a flit in flight always has a live receiver and
+     * a credit in flight a live sender. See docs/performance.md ("The
+     * event core", optimization 5) for the full rules.
      */
     virtual Cycle
     nextEventCycle(Cycle now) const
@@ -142,7 +145,10 @@ class Network
      * range (nothing becomes deliverable before nextEventCycle());
      * messages may still be parked in delay queues, so an
      * implementation must only touch counters that tick()
-     * unconditionally advances.
+     * unconditionally advances. The crossbars add @p n to every
+     * router, live or not, exactly as @p n ticks would: a live
+     * router's tick in the range moves nothing, and an idle one's
+     * counts the same cycle.
      */
     virtual void advanceIdleCycles(Cycle n) { (void)n; }
 

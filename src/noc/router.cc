@@ -64,10 +64,49 @@ Router::setBypass(bool enable)
     bypass_ = enable;
 }
 
+void
+Router::wireLive(LiveBit self)
+{
+    for (InputPort &in : inputs_) {
+        if (in.in != nullptr)
+            in.in->wireReceiver(self);
+    }
+    for (OutputPort &out : outputs_) {
+        if (out.out != nullptr)
+            out.out->wireSender(self);
+    }
+}
+
+bool
+Router::idle() const
+{
+    if (bufferedFlits_ != 0)
+        return false;
+    for (const InputPort &in : inputs_) {
+        if (in.in != nullptr && in.in->flitsInFlight() != 0)
+            return false;
+    }
+    for (const OutputPort &out : outputs_) {
+        if (out.out != nullptr && out.out->creditsInFlight())
+            return false;
+    }
+    return true;
+}
+
 Cycle
 Router::nextEventCycle() const
 {
     Cycle next = kNoCycle;
+    for (const InputPort &in : inputs_) {
+        if (in.in != nullptr)
+            next = std::min(next, in.in->nextArrivalCycle());
+    }
+    for (const OutputPort &out : outputs_) {
+        if (out.out != nullptr)
+            next = std::min(next, out.out->nextCreditCycle());
+    }
+    if (bufferedFlits_ == 0)
+        return next;
     for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
         const InputPort &in = inputs_[i];
         if (in.buffer.empty())

@@ -36,6 +36,7 @@
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
+#include "noc/live_set.hh"
 #include "noc/message.hh"
 
 namespace amsc
@@ -93,21 +94,34 @@ class Router
     bool drained() const;
 
     /**
-     * Earliest cycle a tick() could move a flit out of an input
-     * buffer; kNoCycle when no buffered flit can ever move without an
-     * external event first. Exact per input: a head-of-line flit
-     * moves at max(pipeline eligibility, downstream sendable cycle).
-     * Inputs whose movement is gated on someone else's event are
-     * skipped soundly:
+     * Wire @p self as the live bit of this router: every input
+     * channel sets it on a flit sent, every output channel on a
+     * credit returned.
+     */
+    void wireLive(LiveBit self);
+
+    /**
+     * True when tick() is a no-op apart from the per-cycle
+     * active/gated counter (skipIdleCycles(1)) until a channel wakes
+     * the router: no buffered flit, no flit in flight on an input, no
+     * credit in flight on an output.
+     */
+    bool idle() const;
+
+    /**
+     * Earliest cycle a tick() could change state; kNoCycle when
+     * nothing can happen without an external event first. Covers the
+     * router's own channels: input flit arrivals (acceptArrivals())
+     * and output credit returns (tickSender()). Buffered flits are
+     * exact per input: a head-of-line flit moves at max(pipeline
+     * eligibility, downstream sendable cycle). Inputs whose movement
+     * is gated on someone else's event are skipped soundly:
      *  - a head flit facing a locked output (the lock releases only
      *    when the holder's tail traverses -- that input's own event --
      *    and the request phase sees the lock before the grant phase
      *    clears it, so same-cycle unlock-and-move cannot happen);
      *  - an output with zero banked credits and none in flight
      *    (credits reappear only after a downstream buffer pop).
-     * Channel flit arrivals are NOT included here -- the owning
-     * network takes the min over every channel's nextArrivalCycle()
-     * directly, which covers acceptArrivals() for all inputs.
      */
     Cycle nextEventCycle() const;
 

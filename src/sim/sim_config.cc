@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <utility>
 
 #include "cache/replacement.hh"
 #include "common/bitutils.hh"
@@ -768,6 +769,18 @@ SimConfig::validate() const
         fatal("config: serving/llm parameters must be non-zero "
               "(serving_tenants, serving_batch, serving_ctx, "
               "serving_decode, llm_d_model, llm_layers)");
+    // A zero width divides by zero when packetizing; zero buffer or
+    // queue slots leave the NoC without credits and the run hangs.
+    const std::pair<const char *, std::uint64_t> noc_sizes[] = {
+        {"channel_width", channelWidthBytes},
+        {"vc_depth", vcDepthFlits},
+        {"inject_queue_cap", injectQueueCap},
+        {"eject_queue_cap", ejectQueueCap},
+    };
+    for (const auto &[key, value] : noc_sizes) {
+        if (value == 0)
+            throw ConfigError(strfmt("%s must be non-zero", key));
+    }
     buildBypassAppMask(); // throws on malformed llc_bypass_apps
 }
 

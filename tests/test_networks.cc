@@ -2,7 +2,8 @@
  * @file
  * Whole-network property tests, parameterized over all topologies:
  * message conservation, correct delivery, drain semantics, latency
- * sanity, private-mode reconfiguration.
+ * sanity, private-mode reconfiguration, live-set exactness; plus the
+ * NoC sizing checks of SimConfig::validate().
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +13,12 @@
 #include <tuple>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/rng.hh"
 #include "noc/hier_xbar.hh"
 #include "noc/network_factory.hh"
+#include "sim/sim_config.hh"
+#include "throw_util.hh"
 
 namespace amsc
 {
@@ -59,6 +63,14 @@ readReply(SliceId src, SmId dst)
     m.sizeBytes = 144;
     m.token = (static_cast<std::uint64_t>(src) << 32) | dst;
     return m;
+}
+
+std::vector<std::uint8_t>
+ckptBytes(const Network &net)
+{
+    CkptWriter w;
+    net.saveCkpt(w);
+    return w.takeBuffer();
 }
 
 } // namespace
@@ -206,6 +218,98 @@ TEST_P(NetworkTopologyTest, ActivityGeometryReported)
     }
 }
 
+TEST_P(NetworkTopologyTest, LiveSetTickMatchesFullTick)
+{
+    // The crossbars tick only the components in their live set. A
+    // fresh network restored from a checkpoint has every bit set, so
+    // for one cycle it ticks every component, like a network without
+    // a live set: clone the live network that way each cycle, drive
+    // both alike and require the same events, deliveries and state.
+    // Injection runs in the first 200 of every 1000 cycles so
+    // components go idle and wake again. A quarter of the requests go
+    // to slice 5, which pops one message every 7th cycle, so its
+    // ejection queue fills and backpressure stalls the flits behind
+    // it. On H-Xbar the second 1000 cycles run in private mode, where
+    // idle MC-routers count gated cycles. The second geometry has
+    // zero-latency links (a router wakes a later one within the same
+    // cycle) and slow credits (a credit is still in flight when its
+    // sender's bit could be cleared).
+    NocParams slow_credits = smallParams(GetParam());
+    slow_credits.shortLinkLatency = 0;
+    slow_credits.longLinkLatency = 0;
+    slow_credits.creditLatency = 3;
+    for (const NocParams &p : {smallParams(GetParam()), slow_credits}) {
+        SCOPED_TRACE("credit latency " +
+                     std::to_string(p.creditLatency));
+        auto net = makeNetwork(p);
+        std::vector<std::uint64_t> got;
+        std::vector<std::uint64_t> want;
+        net->setReplyHandler([&got](const NocMessage &m, Cycle) {
+            got.push_back(m.token);
+        });
+        Rng rng(23);
+        std::uint64_t token = 0;
+        for (Cycle c = 0; c < 4000; ++c) {
+            if (net->supportsPowerGating() &&
+                (c == 1000 || c == 2000)) {
+                ASSERT_TRUE(net->drained()) << c;
+                net->setPrivateMode(c == 1000);
+            }
+            auto ref = makeNetwork(p);
+            const std::vector<std::uint8_t> state = ckptBytes(*net);
+            CkptReader r(state.data(), state.size());
+            ref->loadCkpt(r);
+            ref->setReplyHandler([&want](const NocMessage &m, Cycle) {
+                want.push_back(m.token);
+            });
+
+            for (int k = 0; c % 1000 < 200 && k < 3; ++k) {
+                const SmId sm = static_cast<SmId>(rng.below(p.numSms));
+                const SliceId sl =
+                    static_cast<SliceId>(rng.below(p.numSlices()));
+                if (rng.below(2) == 0 && net->canInjectRequest(sm)) {
+                    NocMessage m =
+                        readReq(sm, rng.below(4) == 0 ? 5 : sl);
+                    m.token = ++token;
+                    net->injectRequest(m, c);
+                    ref->injectRequest(m, c);
+                } else if (net->canInjectReply(sl)) {
+                    NocMessage m = readReply(sl, sm);
+                    m.token = ++token;
+                    net->injectReply(m, c);
+                    ref->injectReply(m, c);
+                }
+            }
+            ASSERT_EQ(net->nextEventCycle(c), ref->nextEventCycle(c))
+                << "cycle " << c;
+
+            net->tick(c);
+            ref->tick(c);
+            for (SliceId s = 0; s < p.numSlices(); ++s) {
+                const bool slow = s == 5;
+                if (slow && c % 7 != 0)
+                    continue;
+                while (net->hasRequestFor(s)) {
+                    got.push_back(net->popRequestFor(s, c).token);
+                    if (slow)
+                        break;
+                }
+                while (ref->hasRequestFor(s)) {
+                    want.push_back(ref->popRequestFor(s, c).token);
+                    if (slow)
+                        break;
+                }
+            }
+            ASSERT_EQ(got, want) << "cycle " << c;
+            ASSERT_EQ(ckptBytes(*net), ckptBytes(*ref)) << "cycle " << c;
+            got.clear();
+            want.clear();
+        }
+        EXPECT_GT(token, 1000u);
+        EXPECT_TRUE(net->drained());
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllTopologies, NetworkTopologyTest,
     ::testing::Values(NocTopology::Ideal, NocTopology::FullXbar,
@@ -264,6 +368,32 @@ INSTANTIATE_TEST_SUITE_P(
         return topologyName(std::get<0>(info.param)) + "_w" +
             std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------- config checks
+
+TEST(NocConfig, ZeroSizesAreRejected)
+{
+    // A zero channel width divides by zero when packetizing; zero
+    // buffer or queue slots starve the NoC until max_cycles.
+    const auto zeroed = [](auto field) {
+        SimConfig cfg;
+        cfg.*field = 0;
+        return cfg;
+    };
+    AMSC_EXPECT_THROW_MSG(
+        zeroed(&SimConfig::channelWidthBytes).validate(), ConfigError,
+        "channel_width");
+    AMSC_EXPECT_THROW_MSG(zeroed(&SimConfig::vcDepthFlits).validate(),
+                          ConfigError, "vc_depth");
+    AMSC_EXPECT_THROW_MSG(zeroed(&SimConfig::injectQueueCap).validate(),
+                          ConfigError, "inject_queue_cap");
+    AMSC_EXPECT_THROW_MSG(zeroed(&SimConfig::ejectQueueCap).validate(),
+                          ConfigError, "eject_queue_cap");
+    SimConfig ok;
+    ok.shortLinkLatency = 0;
+    ok.longLinkLatency = 0;
+    ok.validate(); // zero link latencies stay legal
+}
 
 // ------------------------------------------------- H-Xbar specifics
 
