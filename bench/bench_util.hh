@@ -113,14 +113,6 @@ pushPolicyTriple(std::vector<SweepPoint> &points, const SimConfig &cfg,
     return t;
 }
 
-/** Run one workload under one LLC policy (single-point shorthand). */
-inline RunResult
-runWorkload(SimConfig cfg, const WorkloadSpec &spec, LlcPolicy policy)
-{
-    return SweepRunner::runPoint(
-        policyPoint(std::move(cfg), spec, policy));
-}
-
 /** Render a fixed-width ASCII bar for value in [0, max]. */
 inline std::string
 bar(double value, double max, int width = 24)

@@ -5,8 +5,8 @@
  * writeFileAtomic() implements the write-temp + fsync + rename (+
  * directory fsync) protocol: readers never observe a half-written
  * artifact -- they see the old file (or none) or the complete new
- * one. All emitted artifacts (CSV/JSON emit, BENCH_core.json, the
- * Perfetto timeline, checkpoints, journal headers) go through it;
+ * one. All emitted artifacts (CSV/JSON emit, the Perfetto timeline,
+ * checkpoints, journal headers) go through it;
  * only deliberately append-only streams (the stats JSONL stream, the
  * sweep journal's record appends) write in place, each record being
  * individually CRC-framed or line-framed.

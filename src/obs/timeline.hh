@@ -90,9 +90,8 @@ class TimelineSink
 
 /**
  * The no-op sink: accepts the full event stream and drops it.
- * Exists so the timeline-overhead microbench (bench_harness) can
- * separate the cost of *observing* (sampling the counters) from the
- * cost of *serializing* (writing JSON).
+ * Exists to separate the cost of *observing* (sampling the
+ * counters) from the cost of *serializing* (writing JSON).
  */
 class NullTimelineSink : public TimelineSink
 {

@@ -30,6 +30,19 @@ stem(const std::string &path)
     return base;
 }
 
+/** path.ext -> path.p<i>.ext (per-point output files). */
+std::string
+perPointPath(const std::string &path, std::size_t i)
+{
+    const std::size_t dot = path.rfind('.');
+    const std::size_t slash = path.find_last_of("/\\");
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return path + ".p" + std::to_string(i);
+    return path.substr(0, dot) + ".p" + std::to_string(i) +
+        path.substr(dot);
+}
+
 /**
  * Prefixes of the `base { }` blocks in @p kv: {"app"} for a single
  * block, {"app.0", "app.1", ...} for repeated ones (numeric order).
@@ -414,13 +427,7 @@ Scenario::buildPoint(
             if (apps.size() != 1)
                 throw ConfigError(strfmt("%s: replay= apps must run alone",
                       origin_.c_str()));
-            const std::string path = a.replay;
-            p.setup = [path](GpuSystem &gpu) {
-                const auto reader =
-                    std::make_shared<const TraceReader>(path);
-                gpu.setWorkload(
-                    0, WorkloadSuite::buildReplayKernels(reader));
-            };
+            p.setup = replaySetup(a.replay);
             break;
         }
         WorkloadSpec spec;
@@ -674,6 +681,31 @@ Scenario::dumpText() const
         os << "}\n";
     }
     return os.str();
+}
+
+std::function<void(GpuSystem &)>
+replaySetup(const std::string &path)
+{
+    return [path](GpuSystem &gpu) {
+        const auto reader = std::make_shared<const TraceReader>(path);
+        gpu.setWorkload(0, WorkloadSuite::buildReplayKernels(reader));
+    };
+}
+
+void
+perPointPaths(std::vector<SweepPoint> &points)
+{
+    if (points.size() <= 1)
+        return;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SimConfig &cfg = points[i].cfg;
+        for (std::string *path :
+             {&cfg.timelineOut, &cfg.statsStreamOut,
+              &cfg.checkpointPath, &cfg.traceRecordPath}) {
+            if (!path->empty())
+                *path = perPointPath(*path, i);
+        }
+    }
 }
 
 } // namespace amsc::scenario

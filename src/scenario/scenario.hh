@@ -16,6 +16,7 @@
 #define AMSC_SCENARIO_SCENARIO_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,6 +135,18 @@ class Scenario
     std::vector<SweepAxis> axes_;    ///< scenario-level axes
     std::vector<ScenarioGrid> grids_; ///< empty = one implicit grid
 };
+
+/** The setup hook of an `app { replay = FILE }` point. */
+std::function<void(GpuSystem &)> replaySetup(const std::string &path);
+
+/**
+ * Give each point of a multi-point grid its own output files: the
+ * point index goes before the extension of timeline_out,
+ * stats_stream_out, checkpoint_path and trace_record
+ * (ck.bin -> ck.p2.bin), so concurrent workers never share a file
+ * or an atomic-write temp file. A single point keeps its paths.
+ */
+void perPointPaths(std::vector<SweepPoint> &points);
 
 } // namespace amsc::scenario
 

@@ -17,9 +17,9 @@ bool
 identicalResults(const RunResult &a, const RunResult &b)
 {
     // Field-drift guards: this function is the determinism gate for
-    // SweepRunner, bench_harness and test_perf_invariance. Adding a
-    // field to any compared struct must extend the matching lambda
-    // below -- on the LP64 CI platform these asserts force that
+    // SweepRunner, `amsc trace verify` and the tick==event tests.
+    // Adding a field to any compared struct must extend the matching
+    // lambda below -- on the LP64 CI platform these asserts force that
     // update (other ABIs may pad differently, so they are scoped).
 #ifdef __LP64__
     static_assert(sizeof(LlcSystemStats) == 11 * sizeof(std::uint64_t),

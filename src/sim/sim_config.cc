@@ -589,18 +589,12 @@ buildRegistry()
              c.sweepOnError = parseSweepOnError(v);
          }},
         {"trace_record", "string", "",
-         "Record the run's warp streams to this trace file "
-         "(docs/trace_format.md).",
+         "Record the point's warp streams to this trace file; the "
+         "point must run one suite or synthetic app. Replay it with "
+         "an `app { replay = FILE }` block (docs/trace_format.md).",
          [](const SimConfig &c) { return c.traceRecordPath; },
          [](SimConfig &c, const std::string &v) {
              c.traceRecordPath = v;
-         }},
-        {"trace_replay", "string", "",
-         "Replay the workload from this trace file instead of "
-         "generating it.",
-         [](const SimConfig &c) { return c.traceReplayPath; },
-         [](SimConfig &c, const std::string &v) {
-             c.traceReplayPath = v;
          }},
         // ---- observability --------------------------------------------
         AMSC_BOOL_KEY("timeline", timeline,
@@ -748,8 +742,6 @@ SimConfig::validate() const
               dramTimings.tRFC, dramTimings.tREFI);
     if (dramQueueCap == 0)
         fatal("config: dram_queue_cap must be non-zero");
-    if (!traceRecordPath.empty() && !traceReplayPath.empty())
-        fatal("config: trace_record and trace_replay are exclusive");
     if (checkpointEvery != 0 && checkpointPath.empty())
         fatal("config: checkpoint_every requires checkpoint_path");
     if (checkpointEvery != 0 && !traceRecordPath.empty())
@@ -831,8 +823,6 @@ SimConfig::print(std::ostream &os) const
     os << "CTA scheduling         " << ctaPolicyName(ctaPolicy) << "\n";
     if (!traceRecordPath.empty())
         os << "Trace recording        " << traceRecordPath << "\n";
-    if (!traceReplayPath.empty())
-        os << "Trace replay           " << traceReplayPath << "\n";
     if (timeline) {
         os << "Timeline               "
            << (timelineOut.empty() ? "null sink" : timelineOut)

@@ -172,18 +172,20 @@ struct SimConfig
     /** Failure policy for sweep points (SweepRunner). */
     SweepOnError sweepOnError = SweepOnError::Abort;
 
-    // ---- trace capture / replay (src/trace) ------------------------
-    /** Record the run's warp streams to this trace file. */
+    // ---- trace capture (src/trace) ---------------------------------
+    /**
+     * Record the run's warp streams to this trace file
+     * (SweepRunner::runPoint; one generated app per point). Traces
+     * replay through a scenario `app { replay = FILE }`.
+     */
     std::string traceRecordPath;
-    /** Replay the workload from this trace file instead. */
-    std::string traceReplayPath;
 
     // ---- observability (src/obs) -----------------------------------
     /**
      * Capture the run's timeline (epoch phases, Rule #1/#2/#3
      * decisions, per-slice/per-MC/NoC counters). With timelineOut
-     * empty the stream feeds a null sink -- the overhead-measurement
-     * configuration of bench_harness.
+     * empty the stream feeds a null sink, which isolates the
+     * observation cost from serialization (tests/test_obs.cc).
      */
     bool timeline = false;
     /** Perfetto/chrome-tracing JSON output path (implies timeline). */

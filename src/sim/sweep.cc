@@ -3,12 +3,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "common/error.hh"
 #include "common/log.hh"
 #include "obs/recorder.hh"
+#include "trace/trace_writer.hh"
 
 namespace amsc
 {
@@ -81,27 +83,57 @@ SweepRunner::parallelFor(
 RunResult
 SweepRunner::runPoint(const SweepPoint &point)
 {
-    GpuSystem gpu(point.cfg);
-    if (point.setup) {
-        point.setup(gpu);
-    } else {
-        for (AppId a = 0;
-             a < static_cast<AppId>(point.apps.size()); ++a) {
-            gpu.setWorkload(a, WorkloadSuite::buildKernels(
-                                   point.apps[a], point.cfg.seed, a));
-        }
+    // trace_record captures the one generated app's warp streams.
+    // The writer outlives the GpuSystem, whose destructor flushes
+    // every live RecordingGen before the file is sealed.
+    std::shared_ptr<TraceWriter> writer;
+    if (!point.cfg.traceRecordPath.empty()) {
+        if (point.setup || point.apps.size() != 1)
+            throw ConfigError(
+                point.label + ": trace_record needs a point with "
+                "exactly one suite or synthetic app (not replay=, "
+                "class= or several apps)");
+        writer =
+            std::make_shared<TraceWriter>(point.cfg.traceRecordPath);
     }
-    if (point.onBuilt)
-        point.onBuilt(gpu);
-    // Observability is per point: the recorder exists only when this
-    // point's config enables it, and the sinks are pull-only, so
-    // results stay bit-identical either way (tests/test_obs.cc).
-    const auto recorder = obs::TimelineRecorder::fromConfig(gpu);
-    RunResult r = gpu.run();
-    if (recorder)
-        recorder->finish();
-    if (point.post)
-        point.post(gpu, r);
+    RunResult r;
+    {
+        GpuSystem gpu(point.cfg);
+        if (point.setup) {
+            point.setup(gpu);
+        } else if (writer) {
+            gpu.setWorkload(0, WorkloadSuite::buildRecordedKernels(
+                                   point.apps[0], point.cfg.seed,
+                                   writer));
+        } else {
+            for (AppId a = 0;
+                 a < static_cast<AppId>(point.apps.size()); ++a) {
+                gpu.setWorkload(a, WorkloadSuite::buildKernels(
+                                       point.apps[a], point.cfg.seed,
+                                       a));
+            }
+        }
+        if (point.onBuilt)
+            point.onBuilt(gpu);
+        // Observability is per point: the recorder exists only when
+        // this point's config enables it, and the sinks are
+        // pull-only, so results stay bit-identical either way
+        // (tests/test_obs.cc).
+        const auto recorder = obs::TimelineRecorder::fromConfig(gpu);
+        r = gpu.run();
+        if (recorder)
+            recorder->finish();
+        if (point.post)
+            point.post(gpu, r);
+    }
+    if (writer) {
+        writer->setRunSummary(summarizeRun(r));
+        writer->finalize();
+        if (!r.finishedWork)
+            warn("%s: recording hit max_cycles; warps mid-stream were "
+                 "truncated and a replay will finish early",
+                 point.cfg.traceRecordPath.c_str());
+    }
     return r;
 }
 

@@ -57,7 +57,7 @@ struct SweepPoint
      * caller-owned per-point slots.
      */
     std::function<void(GpuSystem &, RunResult &)> post;
-    /** Display label (bench tables, BENCH_core.json). */
+    /** Display label (summary tables, progress lines, journals). */
     std::string label;
 };
 
@@ -147,7 +147,13 @@ class SweepRunner
         const std::function<void(std::size_t, std::size_t,
                                  std::size_t)> &progress = {}) const;
 
-    /** Build, run and collect one point (the sequential reference). */
+    /**
+     * Build, run and collect one point (the sequential reference).
+     * With cfg.traceRecordPath set, the point's single generated app
+     * is recorded to that file and the trace is sealed with the
+     * run's summary; a point with a setup hook or another app count
+     * throws ConfigError.
+     */
     static RunResult runPoint(const SweepPoint &point);
 
   private:

@@ -11,7 +11,7 @@
  * Because the simulator is deterministic given its instruction
  * streams, replaying a trace reproduces the recorded run's RunResult
  * exactly -- same cycles, same IPC, same miss rates -- which is what
- * `trace_tool verify` asserts.
+ * `amsc trace verify` asserts.
  */
 
 #ifndef AMSC_TRACE_REPLAY_GEN_HH

@@ -30,9 +30,8 @@ namespace amsc
 {
 
 /**
- * Whole-run metrics embedded in the trace index, letting `trace_tool
- * replay` report drift against the recorded run without re-running
- * the recording.
+ * Whole-run metrics embedded in the trace index, letting `amsc trace
+ * info` report the recorded run without re-running the recording.
  */
 struct TraceRunSummary
 {

@@ -14,7 +14,7 @@ SyntheticGen::SyntheticGen(const TraceParams &params,
     : params_(params), zipf_(std::move(zipf)), cta_(cta), warp_(warp),
       warpsInCta_(warps_in_cta == 0 ? 1 : warps_in_cta),
       // The warp's stream is a pure function of (seed, cta, warp):
-      // trace replay bit-stability (trace_tool verify) depends on no
+      // trace replay bit-stability (amsc trace verify) depends on no
       // other state feeding the generator. The additive terms cannot
       // alias two (cta, warp) pairs -- gcd(8191, 131) = 1 and warp
       // counts stay far below 8191 -- and Rng's splitmix64 expansion

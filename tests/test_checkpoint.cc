@@ -286,29 +286,52 @@ TEST(CheckpointEquivalence, BeforeFirstTick)
 
 TEST(CheckpointFile, PeriodicCheckpointRestores)
 {
-    const std::string path = tmpPath("periodic.ckpt");
-    SimConfig cfg = smallConfig();
-    const SetupFn setup = singleApp(AccessPattern::ZipfShared);
-    const RunResult a = unbrokenRun(cfg, setup);
+    // The default shared policy, and the adaptive controller through
+    // at least one mode transition: periodic checkpoints land in its
+    // profiling, drain and power-gate phases too.
+    SimConfig adaptive = smallConfig();
+    adaptive.llcPolicy = LlcPolicy::Adaptive;
+    adaptive.missTolerance = 0.3;
+    const struct
+    {
+        const char *label;
+        SimConfig cfg;
+        SetupFn setup;
+    } cases[] = {
+        {"shared", smallConfig(), singleApp(AccessPattern::ZipfShared)},
+        {"adaptive", adaptive, singleApp(AccessPattern::Broadcast)},
+    };
+    for (const auto &[label, cfg, setup] : cases) {
+        const std::string path = tmpPath("periodic.ckpt");
+        const RunResult a = unbrokenRun(cfg, setup);
+        if (cfg.llcPolicy == LlcPolicy::Adaptive) {
+            ASSERT_GT(a.llcCtrl.transitionsToPrivate +
+                          a.llcCtrl.transitionsToShared,
+                      0u)
+                << label;
+        }
 
-    SimConfig with_ckpt = cfg;
-    with_ckpt.checkpointEvery = 700;
-    with_ckpt.checkpointPath = path;
-    const RunResult b = unbrokenRun(with_ckpt, setup);
-    // The knobs are observability-only: the run itself is unchanged.
-    EXPECT_TRUE(identicalResults(a, b));
+        SimConfig with_ckpt = cfg;
+        with_ckpt.checkpointEvery = 700;
+        with_ckpt.checkpointPath = path;
+        const RunResult b = unbrokenRun(with_ckpt, setup);
+        // The knobs are observability-only: the run itself is
+        // unchanged.
+        EXPECT_TRUE(identicalResults(a, b)) << label;
 
-    // The file holds the last grid checkpoint; restoring it and
-    // finishing reproduces the run. Restore under the original
-    // config: checkpoint_every/checkpoint_path are identity-excluded.
-    GpuSystem gpu(cfg);
-    setup(gpu);
-    std::ifstream is(path, std::ios::binary);
-    ASSERT_TRUE(is.is_open()) << "no checkpoint file at " << path;
-    gpu.restore(is);
-    const RunResult c = gpu.run();
-    EXPECT_TRUE(identicalResults(a, c));
-    std::remove(path.c_str());
+        // The file holds the last grid checkpoint; restoring it and
+        // finishing reproduces the run. Restore under the original
+        // config: checkpoint_every/checkpoint_path are
+        // identity-excluded.
+        GpuSystem gpu(cfg);
+        setup(gpu);
+        std::ifstream is(path, std::ios::binary);
+        ASSERT_TRUE(is.is_open()) << "no checkpoint file at " << path;
+        gpu.restore(is);
+        const RunResult c = gpu.run();
+        EXPECT_TRUE(identicalResults(a, c)) << label;
+        std::remove(path.c_str());
+    }
 }
 
 // ------------------------------------------------- container integrity

@@ -35,6 +35,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -119,16 +121,16 @@ broadcastWorkload(std::uint64_t seed)
  * DRAM-round-trip stream with one resident CTA: most SMs retire
  * early and the machine spends long stretches waiting on exact
  * DelayQueue/DRAM events -- the workload class the event core jumps
- * across (see bench_harness's event_mode phase).
+ * across (see EventIsNotSlowerThanTickOnIdleHeavyRun).
  */
 std::vector<KernelInfo>
-idleHeavyWorkload(std::uint64_t seed)
+idleHeavyWorkload(std::uint64_t seed, std::uint64_t mem_instrs = 2000)
 {
     TraceParams t;
     t.pattern = AccessPattern::PrivateStream;
     t.privateLinesPerCta = 100000;
     t.writeFraction = 0.0;
-    t.memInstrsPerWarp = 2000;
+    t.memInstrsPerWarp = mem_instrs;
     t.computePerMem = 0;
     t.seed = seed;
     return {makeSyntheticKernel("idle", t, 1, 1)};
@@ -270,7 +272,7 @@ TEST(EventCore, MatchesTickOnIdleHeavyRun)
     expectModesIdentical(cfg, {idleHeavyWorkload(3)});
 }
 
-TEST(EventCore, EventModeSkipsCyclesOnEveryCrossbarTopology)
+TEST(EventCore, EventModeSkipsCyclesOnEveryTopology)
 {
     // The regression that would have caught the inert-event-mode bug:
     // with the conservative `drained() ? kNoCycle : now + 1` fallback
@@ -278,11 +280,12 @@ TEST(EventCore, EventModeSkipsCyclesOnEveryCrossbarTopology)
     // (long DRAM/LLC round trips, one resident CTA) degrades to
     // per-cycle stepping exactly when event mode should win. Exact
     // per-component events must produce real multi-cycle jumps on
-    // every crossbar topology -- covering the majority of simulated
-    // cycles -- while staying bit-identical to the tick driver.
+    // the ideal network and every crossbar topology -- covering the
+    // majority of simulated cycles -- while staying bit-identical to
+    // the tick driver.
     for (const NocTopology topo :
-         {NocTopology::FullXbar, NocTopology::Concentrated,
-          NocTopology::Hierarchical}) {
+         {NocTopology::Ideal, NocTopology::FullXbar,
+          NocTopology::Concentrated, NocTopology::Hierarchical}) {
         SimConfig cfg = smallConfig();
         cfg.topology = topo;
         cfg.llcMissLatency = 100;
@@ -306,6 +309,48 @@ TEST(EventCore, EventModeSkipsCyclesOnEveryCrossbarTopology)
             << label << ": event mode stepped through "
             << (event.cycles - gpu.jumpedCycles()) << " of "
             << event.cycles << " cycles";
+    }
+}
+
+TEST(EventCore, EventIsNotSlowerThanTickOnIdleHeavyRun)
+{
+    // The jump machinery must pay for itself where it exists to: on
+    // the idle-heavy run (Table-1 machine, one warp streaming
+    // all-miss lines behind long latencies) the event driver may not
+    // be slower than the per-cycle loop on any topology. Best of
+    // three interleaved wall times per driver keeps a noisy host
+    // from failing the gate; a topology whose advertisement
+    // degenerates to `now + 1` runs far slower than tick and still
+    // fails it.
+    for (const NocTopology topo :
+         {NocTopology::Ideal, NocTopology::FullXbar,
+          NocTopology::Concentrated, NocTopology::Hierarchical}) {
+        SimConfig cfg;
+        cfg.topology = topo;
+        cfg.idealNocLatency = 200;
+        cfg.llcMissLatency = 100;
+        cfg.l1Latency = 100;
+        cfg.maxCycles = 250000;
+        const std::vector<KernelInfo> work = idleHeavyWorkload(3, 500);
+        double best[2] = {1e30, 1e30};
+        RunResult results[2];
+        for (int rep = 0; rep < 3; ++rep) {
+            for (int m = 0; m < 2; ++m) {
+                const auto t0 = std::chrono::steady_clock::now();
+                results[m] = runMode(
+                    cfg, m == 0 ? SimMode::Tick : SimMode::Event,
+                    {work});
+                best[m] = std::min(
+                    best[m], std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+            }
+        }
+        const std::string label = topologyName(topo);
+        EXPECT_TRUE(identicalResults(results[0], results[1])) << label;
+        EXPECT_GE(best[0] / best[1], 1.0)
+            << label << ": tick " << best[0] << " s, event " << best[1]
+            << " s over " << results[0].cycles << " cycles";
     }
 }
 

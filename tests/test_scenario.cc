@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "common/kvargs.hh"
@@ -404,6 +405,84 @@ TEST(Scenario, ReplayAppsInstallASetupHook)
     ASSERT_EQ(points.size(), 1u);
     EXPECT_TRUE(static_cast<bool>(points[0].point.setup));
     EXPECT_TRUE(points[0].point.apps.empty());
+}
+
+TEST(Scenario, MultiPointGridsWriteDistinctOutputFiles)
+{
+    // Every worker of a multi-point sweep needs files of its own:
+    // one shared checkpoint_path let concurrent atomic writes race on
+    // the same temp file (rename failed) and kept only the last
+    // point's checkpoint.
+    const std::string dir = ::testing::TempDir() + "amsc_grid_";
+    const std::string base = "config {\n"
+                             "  num_sms = 16\n"
+                             "  num_clusters = 4\n"
+                             "  num_mcs = 4\n"
+                             "  slices_per_mc = 4\n"
+                             "  max_cycles = 6000\n"
+                             "  profile_len = 1000\n"
+                             "}\n"
+                             "app {\n"
+                             "  pattern = zipf\n"
+                             "  shared_lines = 2048\n"
+                             "  mem_instrs = 40\n"
+                             "  ctas = 32\n"
+                             "  warps = 4\n"
+                             "}\n";
+    const std::string grid =
+        "sweep {\n  llc_policy = shared, private, adaptive\n}\n";
+    const auto points = [](const std::string &text) {
+        std::vector<SweepPoint> out;
+        for (const ExpandedPoint &ep :
+             Scenario::fromKv(Scenario::parseScnText(text), "inline")
+                 .expand())
+            out.push_back(ep.point);
+        scenario::perPointPaths(out);
+        return out;
+    };
+
+    const std::string outputs =
+        "config {\n"
+        "  timeline_out = \"" + dir + "tl.json\"\n"
+        "  stats_stream_out = \"" + dir + "st.jsonl\"\n"
+        "  checkpoint_path = \"" + dir + "ck.bin\"\n"
+        "  trace_record = \"" + dir + "rec.trc\"\n"
+        "}\n";
+    const std::vector<SweepPoint> named = points(base + grid + outputs);
+    ASSERT_EQ(named.size(), 3u);
+    std::set<std::string> paths;
+    for (const SweepPoint &p : named) {
+        for (const std::string &path :
+             {p.cfg.timelineOut, p.cfg.statsStreamOut,
+              p.cfg.checkpointPath, p.cfg.traceRecordPath})
+            paths.insert(path);
+    }
+    EXPECT_EQ(paths.size(), 12u);
+    EXPECT_EQ(named[2].cfg.checkpointPath, dir + "ck.p2.bin");
+    // A single point keeps its paths as given.
+    EXPECT_EQ(points(base + outputs)[0].cfg.checkpointPath,
+              dir + "ck.bin");
+
+    // Run the grid concurrently with periodic checkpoints: every
+    // point leaves its own file, and each restores to its run.
+    const std::vector<SweepPoint> ck = points(
+        base + grid + "config {\n  checkpoint_every = 1000\n"
+        "  checkpoint_path = \"" + dir + "ck.bin\"\n}\n");
+    const std::vector<RunResult> results = SweepRunner(3).run(ck);
+    for (std::size_t i = 0; i < ck.size(); ++i) {
+        SimConfig cfg = ck[i].cfg;
+        cfg.checkpointEvery = 0;
+        GpuSystem gpu(cfg);
+        gpu.setWorkload(0, WorkloadSuite::buildKernels(ck[i].apps[0],
+                                                       cfg.seed, 0));
+        std::ifstream is(cfg.checkpointPath, std::ios::binary);
+        ASSERT_TRUE(is.is_open())
+            << "no checkpoint " << cfg.checkpointPath;
+        gpu.restore(is);
+        EXPECT_TRUE(identicalResults(results[i], gpu.run()))
+            << ck[i].label;
+        std::remove(cfg.checkpointPath.c_str());
+    }
 }
 
 TEST(Scenario, SmokeQuartersTheHorizon)

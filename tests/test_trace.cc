@@ -2,8 +2,10 @@
  * @file
  * Tests for the warp-trace capture & replay subsystem: the varint
  * record codec, writer -> reader round trips, corrupt-file handling,
- * per-warp stream determinism (the contract `trace_tool verify`
- * relies on) and whole-system record-then-replay equality.
+ * per-warp stream determinism (the contract `amsc trace verify`
+ * relies on), whole-system record-then-replay equality, and capture
+ * through the sweep engine (trace_record on a scenario point,
+ * replayed by an `app { replay = }` point).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "scenario/emit.hh"
+#include "scenario/scenario.hh"
 #include "sim/gpu_system.hh"
+#include "sim/sweep.hh"
 #include "trace/recording_gen.hh"
 #include "trace/replay_gen.hh"
 #include "trace/trace_format.hh"
@@ -532,6 +537,82 @@ TEST(TraceSystem, RecordingDoesNotPerturbTheRun)
     EXPECT_EQ(plain.llcAccesses, rec.llcAccesses);
     EXPECT_DOUBLE_EQ(plain.llcReadMissRate, rec.llcReadMissRate);
     std::remove(path.c_str());
+}
+
+// -------------------------------------- capture through the sweep engine
+
+namespace
+{
+
+/** The single point of a scenario on the smallConfig() machine. */
+SweepPoint
+scenarioPoint(const std::string &config, const std::string &apps)
+{
+    const std::string text = "config {\n"
+                             "  num_sms = 16\n"
+                             "  num_clusters = 4\n"
+                             "  num_mcs = 4\n"
+                             "  slices_per_mc = 4\n"
+                             "  max_warps = 16\n"
+                             "  max_ctas = 2\n"
+                             "  max_cycles = 300000\n"
+                             "  profile_len = 1000\n" +
+        config + "}\n" + apps;
+    const auto points =
+        scenario::Scenario::fromKv(
+            scenario::Scenario::parseScnText(text), "inline")
+            .expand();
+    EXPECT_EQ(points.size(), 1u);
+    return points.at(0).point;
+}
+
+} // namespace
+
+TEST(TraceSweep, RecordedScenarioPointReplaysBitExactly)
+{
+    const std::string path = tmpPath("sweep.trc");
+    const std::string quoted = "\"" + path + "\"";
+    const SweepPoint recorder = scenarioPoint(
+        "  llc_policy = adaptive\n  trace_record = " + quoted + "\n",
+        "app {\n"
+        "  pattern = zipf\n"
+        "  shared_lines = 2048\n"
+        "  atomic_fraction = 0.05\n"
+        "  mem_instrs = 60\n"
+        "  ctas = 32\n"
+        "  warps = 4\n"
+        "}\n");
+    const std::vector<RunResult> rec = SweepRunner(1).run({recorder});
+    ASSERT_TRUE(rec[0].finishedWork);
+    const TraceReader reader(path);
+    EXPECT_TRUE(reader.summary().valid);
+    EXPECT_EQ(reader.summary().cycles, rec[0].cycles);
+
+    const SweepPoint replayer =
+        scenarioPoint("  llc_policy = adaptive\n",
+                      "app {\n  replay = " + quoted + "\n}\n");
+    const std::vector<RunResult> rep = SweepRunner(1).run({replayer});
+    EXPECT_TRUE(identicalResults(rec[0], rep[0]));
+    const std::vector<scenario::EmitPoint> row{{"point", {}}};
+    EXPECT_EQ(scenario::emitCsv(row, rec), scenario::emitCsv(row, rep));
+    std::remove(path.c_str());
+}
+
+TEST(TraceSweep, RecordingNeedsOneGeneratedApp)
+{
+    const std::string path = tmpPath("rejected.trc");
+    const std::string config =
+        "  trace_record = \"" + path + "\"\n";
+    AMSC_EXPECT_THROW_MSG(
+        SweepRunner::runPoint(
+            scenarioPoint(config, "workload = LUD+AN\n")),
+        ConfigError, "trace_record");
+    AMSC_EXPECT_THROW_MSG(
+        SweepRunner::runPoint(scenarioPoint(
+            config, "app {\n  class = llm_inference\n}\n")),
+        ConfigError, "trace_record");
+    // Rejected before anything is written.
+    EXPECT_FALSE(std::ifstream(path).is_open());
 }
 
 } // namespace amsc

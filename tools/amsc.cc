@@ -2,9 +2,11 @@
  * @file
  * The unified amsc command-line interface.
  *
- *   amsc run <scenario.scn> [key=value ...] [--smoke]
+ *   amsc run <scenario.scn> [key=value ...] [--smoke] [--stats]
  *       Execute a scenario (its whole sweep grid) and print a
  *       summary table, or CSV/JSON with format=csv|json [out=FILE].
+ *       --stats appends each point's full statistics tree to the
+ *       table; trace_record=FILE captures a trace of every point.
  *
  *   amsc sweep <scenario.scn> [sweep.key=v1,v2 ...] [key=value ...]
  *       Like run, but defaults to CSV output and reports the grid
@@ -28,6 +30,15 @@
  *       checkpoint files). A mismatch dumps the failing case as a
  *       reproducible .scn and exits 1.
  *
+ *   amsc trace info <file.trc>
+ *       A trace's kernel manifest and embedded run summary.
+ *
+ *   amsc trace verify <scenario.scn> trace_record=FILE [key=value ...]
+ *       Run every point twice, recording and then replaying the
+ *       trace the way `app { replay = FILE }` does, and compare the
+ *       two runs bit for bit: exit 0 if all match, 1 on a
+ *       difference, 2 if a differing recording hit max_cycles.
+ *
  *   amsc list [workloads|scenarios [dir=DIR]]
  *       The Table-2 workload suite, or the .scn files of a directory.
  *
@@ -47,6 +58,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,6 +83,7 @@
 #include "scenario/schema.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
+#include "trace/trace_reader.hh"
 #include "workloads/suite.hh"
 
 using namespace amsc;
@@ -100,6 +113,10 @@ usage()
         "journals to CSV/JSON\n"
         "  fuzz [--points=N] [--seed=S] [out=DIR]     differential "
         "sim_mode fuzz\n"
+        "  trace info <file.trc>                      trace "
+        "manifest and summary\n"
+        "  trace verify <file.scn> trace_record=FILE  record, "
+        "replay and compare\n"
         "  list [workloads|scenarios [dir=DIR]]       what is "
         "available\n"
         "  describe [<key>] [--markdown]              configuration "
@@ -109,7 +126,9 @@ usage()
         "\n"
         "common keys: threads=N format=table|csv|json out=FILE\n"
         "run/sweep:   --timeline=FILE (Perfetto JSON per point), "
-        "--progress\n"
+        "--progress,\n"
+        "             --stats (full statistics after the table), "
+        "trace_record=FILE\n"
         "sweep/resume: --journal=DIR (crash-safe journaled run), "
         "--shard=i/N\n"
         "full reference: docs/configuration.md, "
@@ -149,17 +168,33 @@ loadWithOverrides(const std::string &path, const KvArgs &args)
     return Scenario::fromKv(std::move(kv), path);
 }
 
-/** path.ext -> path.p<i>.ext (per-point output files). */
-std::string
-perPointPath(const std::string &path, std::size_t i)
+/** The points of @p expanded, each with its own output files. */
+std::vector<SweepPoint>
+pointsOf(const std::vector<ExpandedPoint> &expanded)
 {
-    const std::size_t dot = path.rfind('.');
-    const std::size_t slash = path.find_last_of("/\\");
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + ".p" + std::to_string(i);
-    return path.substr(0, dot) + ".p" + std::to_string(i) +
-        path.substr(dot);
+    std::vector<SweepPoint> points;
+    points.reserve(expanded.size());
+    for (const ExpandedPoint &ep : expanded)
+        points.push_back(ep.point);
+    scenario::perPointPaths(points);
+    return points;
+}
+
+/** Render results as format=table|csv|json. */
+std::string
+render(const std::string &format, const Scenario &scn,
+       const std::vector<ExpandedPoint> &expanded,
+       const std::vector<RunResult> &results,
+       const std::vector<std::string> &errors)
+{
+    const auto epts = scenario::emitPoints(expanded);
+    if (format == "table")
+        return scenario::renderTable(epts, results);
+    if (format == "csv")
+        return scenario::emitCsv(epts, results, errors);
+    if (format == "json")
+        return scenario::emitJson(scn.name(), epts, results, errors);
+    fatal("unknown format '%s' (table|csv|json)", format.c_str());
 }
 
 /** Render seconds as "1h02m", "3m20s" or "45s". */
@@ -207,27 +242,10 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     scn.setSmoke(smoke);
 
     const std::vector<ExpandedPoint> expanded = scn.expand();
-    std::vector<SweepPoint> points;
-    points.reserve(expanded.size());
-    for (const ExpandedPoint &ep : expanded)
-        points.push_back(ep.point);
-
-    // Per-point output files: a multi-point grid with one timeline
-    // (or stats-stream) path would have every worker clobbering the
-    // same file, so suffix the point index before the extension.
-    if (points.size() > 1) {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            SimConfig &cfg = points[i].cfg;
-            if (!cfg.timelineOut.empty())
-                cfg.timelineOut = perPointPath(cfg.timelineOut, i);
-            if (!cfg.statsStreamOut.empty())
-                cfg.statsStreamOut =
-                    perPointPath(cfg.statsStreamOut, i);
-        }
-        if (!points[0].cfg.timelineOut.empty())
-            std::fprintf(stderr, "amsc: timeline per point: %s ...\n",
-                         points[0].cfg.timelineOut.c_str());
-    }
+    std::vector<SweepPoint> points = pointsOf(expanded);
+    if (points.size() > 1 && !points[0].cfg.timelineOut.empty())
+        std::fprintf(stderr, "amsc: timeline per point: %s ...\n",
+                     points[0].cfg.timelineOut.c_str());
 
     // Journaled execution: open (or resume) this shard's journal
     // and mask out foreign-shard and already-journaled points.
@@ -239,6 +257,27 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     if (journal_dir.empty() && shard_count != 1)
         fatal("--shard requires --journal "
               "(amsc merge reassembles the grid)");
+    const std::string format =
+        args.getString("format", is_sweep ? "csv" : "table");
+
+    // --stats: a post hook dumps each point's statistics tree while
+    // its GpuSystem is still alive; the dumps follow the table.
+    const bool stats = hasFlag(args, "--stats");
+    if (stats && (format != "table" || !journal_dir.empty()))
+        fatal("--stats applies to format=table only");
+    std::vector<std::string> stat_dumps(stats ? points.size() : 0);
+    for (std::size_t i = 0; i < stat_dumps.size(); ++i) {
+        points[i].post = [post = points[i].post, &dump = stat_dumps[i]](
+                             GpuSystem &gpu, RunResult &r) {
+            if (post)
+                post(gpu, r);
+            StatSet set("amsc");
+            gpu.registerStats(set);
+            std::ostringstream os;
+            set.dump(os);
+            dump = os.str();
+        };
+    }
 
     std::unique_ptr<SweepJournal> journal;
     std::vector<char> skip;
@@ -347,21 +386,11 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
         return 0;
     }
 
-    const std::string format =
-        args.getString("format", is_sweep ? "csv" : "table");
-    const std::string out = args.getString("out", "");
-    const auto epts = scenario::emitPoints(expanded);
-    if (format == "table")
-        scenario::writeOut(scenario::renderTable(epts, results), out);
-    else if (format == "csv")
-        scenario::writeOut(
-            scenario::emitCsv(epts, results, errors), out);
-    else if (format == "json")
-        scenario::writeOut(
-            scenario::emitJson(scn.name(), epts, results, errors),
-            out);
-    else
-        fatal("unknown format '%s' (table|csv|json)", format.c_str());
+    std::string text = render(format, scn, expanded, results, errors);
+    for (std::size_t i = 0; i < stat_dumps.size(); ++i)
+        text += "\n==== " + points[i].label + ": statistics ====\n" +
+            stat_dumps[i];
+    scenario::writeOut(text, args.getString("out", ""));
     return 0;
 }
 
@@ -380,11 +409,9 @@ cmdMerge(const KvArgs &args)
     scn.setSmoke(hasFlag(args, "--smoke") ||
                  args.getBool("smoke", false));
     const std::vector<ExpandedPoint> expanded = scn.expand();
-    std::vector<SweepPoint> points;
-    points.reserve(expanded.size());
-    for (const ExpandedPoint &ep : expanded)
-        points.push_back(ep.point);
-    const std::uint64_t sweep_hash = sweepIdentityHash(points);
+    const std::uint64_t sweep_hash =
+        sweepIdentityHash(pointsOf(expanded));
+    const std::size_t num_points = expanded.size();
 
     // Discover the shard files; all must agree on the shard count.
     std::vector<std::pair<std::uint32_t, std::string>> shards;
@@ -413,12 +440,12 @@ cmdMerge(const KvArgs &args)
               journal_dir.c_str());
     std::sort(shards.begin(), shards.end());
 
-    std::vector<RunResult> results(points.size());
-    std::vector<std::string> errors(points.size());
-    std::vector<char> have(points.size(), 0);
+    std::vector<RunResult> results(num_points);
+    std::vector<std::string> errors(num_points);
+    std::vector<char> have(num_points, 0);
     for (const auto &[index, file] : shards) {
         const JournalHeader expect{sweep_hash, index, shard_count,
-                                   points.size()};
+                                   num_points};
         for (const JournalRecord &rec :
              SweepJournal::readAll(file, expect)) {
             if (have[rec.pointIndex])
@@ -438,23 +465,12 @@ cmdMerge(const KvArgs &args)
     if (missing != 0)
         fatal("journal incomplete: %zu of %zu points missing "
               "(finish with `amsc resume %s --journal=%s`)",
-              missing, points.size(), path.c_str(),
+              missing, num_points, path.c_str(),
               journal_dir.c_str());
 
-    const std::string format = args.getString("format", "csv");
-    const std::string out = args.getString("out", "");
-    const auto epts = scenario::emitPoints(expanded);
-    if (format == "table")
-        scenario::writeOut(scenario::renderTable(epts, results), out);
-    else if (format == "csv")
-        scenario::writeOut(
-            scenario::emitCsv(epts, results, errors), out);
-    else if (format == "json")
-        scenario::writeOut(
-            scenario::emitJson(scn.name(), epts, results, errors),
-            out);
-    else
-        fatal("unknown format '%s' (table|csv|json)", format.c_str());
+    scenario::writeOut(render(args.getString("format", "csv"), scn,
+                              expanded, results, errors),
+                       args.getString("out", ""));
     return 0;
 }
 
@@ -529,6 +545,106 @@ cmdValidateTimeline(const KvArgs &args)
                     r.instants, r.counters, r.decisions);
     }
     return rc;
+}
+
+/** amsc trace info: a trace's manifest and embedded run summary. */
+int
+cmdTraceInfo(const std::string &path)
+{
+    const TraceReader reader(path);
+    std::printf("trace:   %s (format v%u)\n", reader.path().c_str(),
+                reader.version());
+    std::printf("kernels: %zu\n", reader.kernels().size());
+    for (const TraceKernel &k : reader.kernels()) {
+        const std::uint64_t instrs = k.totalInstrs();
+        const std::uint64_t bytes = k.totalPayloadBytes();
+        std::printf("  %-16s %u CTAs x %u warps, %zu streams, "
+                    "%llu instrs, %llu bytes (%.2f B/instr)\n",
+                    k.name.c_str(), k.numCtas, k.warpsPerCta,
+                    k.warps.size(),
+                    static_cast<unsigned long long>(instrs),
+                    static_cast<unsigned long long>(bytes),
+                    instrs == 0 ? 0.0
+                                : static_cast<double>(bytes) /
+                            static_cast<double>(instrs));
+    }
+    const TraceRunSummary &s = reader.summary();
+    if (s.valid) {
+        std::printf("recorded run: cycles=%llu instrs=%llu "
+                    "ipc=%.6f missRate=%.6f\n",
+                    static_cast<unsigned long long>(s.cycles),
+                    static_cast<unsigned long long>(s.instructions),
+                    s.ipc, s.llcReadMissRate);
+    }
+    return 0;
+}
+
+/**
+ * amsc trace verify: run every point recording its trace, then again
+ * replaying that trace through the `app { replay = FILE }` hook, and
+ * require bit-identical results.
+ */
+int
+cmdTraceVerify(const KvArgs &args)
+{
+    if (args.positionals().size() < 3)
+        return usage();
+    Scenario scn = loadWithOverrides(args.positionals()[2], args);
+    scn.setSmoke(hasFlag(args, "--smoke") ||
+                 args.getBool("smoke", false));
+    const std::vector<SweepPoint> record = pointsOf(scn.expand());
+    std::vector<SweepPoint> replay = record;
+    for (SweepPoint &p : replay) {
+        if (p.cfg.traceRecordPath.empty())
+            fatal("amsc trace verify requires trace_record=FILE");
+        p.setup = scenario::replaySetup(p.cfg.traceRecordPath);
+        p.apps.clear();
+        p.cfg.traceRecordPath.clear();
+    }
+    const SweepRunner runner(
+        static_cast<unsigned>(args.getUint("threads", 0)));
+    const std::vector<RunResult> rec = runner.run(record);
+    const std::vector<RunResult> rep = runner.run(replay);
+
+    bool differs = false, inconclusive = false;
+    for (std::size_t i = 0; i < record.size(); ++i) {
+        const char *verdict = "PASS";
+        if (identicalResults(rec[i], rep[i])) {
+        } else if (rec[i].finishedWork) {
+            verdict = "FAIL";
+            differs = true;
+        } else {
+            // A recording cut at max_cycles truncates warps
+            // mid-stream, so its replay legitimately ends early.
+            verdict = "INCONCLUSIVE";
+            inconclusive = true;
+        }
+        std::printf("%s: %s (%s): recorded %llu cycles %llu instrs, "
+                    "replayed %llu cycles %llu instrs%s\n",
+                    record[i].label.c_str(), verdict,
+                    record[i].cfg.traceRecordPath.c_str(),
+                    static_cast<unsigned long long>(rec[i].cycles),
+                    static_cast<unsigned long long>(
+                        rec[i].instructions),
+                    static_cast<unsigned long long>(rep[i].cycles),
+                    static_cast<unsigned long long>(
+                        rep[i].instructions),
+                    rec[i].finishedWork ? "" : " (horizon reached)");
+    }
+    if (differs)
+        return 1;
+    return inconclusive ? 2 : 0;
+}
+
+int
+cmdTrace(const KvArgs &args)
+{
+    const std::vector<std::string> &pos = args.positionals();
+    if (pos.size() >= 3 && pos[1] == "info")
+        return cmdTraceInfo(pos[2]);
+    if (pos.size() >= 2 && pos[1] == "verify")
+        return cmdTraceVerify(args);
+    return usage();
 }
 
 /** amsc fuzz: differential tick/event fuzz campaign. */
@@ -614,6 +730,8 @@ main(int argc, char **argv)
             return cmdMerge(args);
         if (cmd == "fuzz")
             return cmdFuzz(args);
+        if (cmd == "trace")
+            return cmdTrace(args);
         if (cmd == "list")
             return cmdList(args);
         if (cmd == "describe")
