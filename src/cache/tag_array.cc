@@ -101,17 +101,6 @@ TagArray::insert(Addr line_addr, Cycle now, Eviction &evicted,
     return target;
 }
 
-void
-TagArray::touchForRetry(Addr line_addr, Cycle now, std::uint32_t src)
-{
-    CacheLine *line = probe(line_addr);
-    if (line == nullptr)
-        return;
-    const AccessInfo ai{line_addr, setIndex(line_addr), src, now};
-    line->reused = true;
-    repl_->onHit(*line, ai);
-}
-
 bool
 TagArray::shouldBypassFill(Addr line_addr, std::uint32_t src,
                            Cycle now) const

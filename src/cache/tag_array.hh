@@ -93,16 +93,6 @@ class TagArray
                       std::uint32_t src = kInvalidId);
 
     /**
-     * Recency-only touch for a request attempt that will be retried
-     * (resource stall): fires the replacement policy's onHit on a
-     * hit -- bit-exact with the historical access-per-attempt
-     * behavior -- but never onMiss or the bypass hooks, so one
-     * logical miss trains the set-dueling/bypass state exactly once,
-     * on the attempt that completes.
-     */
-    void touchForRetry(Addr line_addr, Cycle now, std::uint32_t src);
-
-    /**
      * Should a fill of @p line_addr requested by @p src skip
      * installation? Always false without a bypass policy. Pure
      * prediction -- no state changes.

@@ -19,6 +19,10 @@
  * poppable as the raw one (r_raw <= p). frontReadyCycle() likewise
  * only tightens toward the cycle the item could actually pop, which
  * makes the event-mode jumps exact rather than conservative.
+ *
+ * The entries live in a Ring (common/ring.hh). A bounded queue reserves
+ * its capacity up front and never allocates afterwards; an unbounded
+ * one starts empty and doubles when full.
  */
 
 #ifndef AMSC_COMMON_DELAY_QUEUE_HH
@@ -26,12 +30,12 @@
 
 #include <cassert>
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <type_traits>
 #include <utility>
 
 #include "common/ckpt.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace amsc
@@ -47,12 +51,14 @@ class DelayQueue
 {
   public:
     /**
-     * @param capacity maximum number of buffered items (0 = unbounded).
+     * @param capacity maximum number of buffered items (0 = unbounded);
+     *                 a bounded queue reserves all of it now.
      */
     explicit DelayQueue(std::size_t capacity = 0)
         : capacity_(capacity == 0
               ? std::numeric_limits<std::size_t>::max()
-              : capacity)
+              : capacity),
+          q_(capacity)
     {}
 
     /** @return true if another item can be pushed. */
@@ -79,16 +85,16 @@ class DelayQueue
     {
         assert(!full());
         Cycle ready = now + latency;
-        if (!q_.empty() && q_.back().first > ready)
-            ready = q_.back().first;
-        q_.emplace_back(ready, std::move(item));
+        if (!q_.empty() && q_.back().ready > ready)
+            ready = q_.back().ready;
+        q_.push_back({ready, std::move(item)});
     }
 
     /** @return true if the front item is visible at cycle @p now. */
     bool
     ready(Cycle now) const
     {
-        return !q_.empty() && q_.front().first <= now;
+        return !q_.empty() && q_.front().ready <= now;
     }
 
     /** Cycle at which the front item becomes visible. @pre !empty(). */
@@ -96,7 +102,7 @@ class DelayQueue
     frontReadyCycle() const
     {
         assert(!q_.empty());
-        return q_.front().first;
+        return q_.front().ready;
     }
 
     /** Peek the front item. @pre ready(now). */
@@ -104,7 +110,7 @@ class DelayQueue
     front() const
     {
         assert(!q_.empty());
-        return q_.front().second;
+        return q_.front().item;
     }
 
     /** Mutable peek of the front item. @pre !empty(). */
@@ -112,7 +118,7 @@ class DelayQueue
     front()
     {
         assert(!q_.empty());
-        return q_.front().second;
+        return q_.front().item;
     }
 
     /** Pop and return the front item. @pre ready(now). */
@@ -120,7 +126,7 @@ class DelayQueue
     pop([[maybe_unused]] Cycle now)
     {
         assert(ready(now));
-        T item = std::move(q_.front().second);
+        T item = std::move(q_.front().item);
         q_.pop_front();
         return item;
     }
@@ -138,29 +144,38 @@ class DelayQueue
     saveCkpt(CkptWriter &w) const
     {
         w.varint(q_.size());
-        for (const auto &e : q_) {
-            w.u64(e.first);
+        for (std::size_t i = 0; i < q_.size(); ++i) {
+            const Entry &e = q_[i];
+            w.u64(e.ready);
             if constexpr (std::has_unique_object_representations_v<T>)
-                w.pod(e.second);
+                w.pod(e.item);
             else
-                ckptValue(w, e.second);
+                ckptValue(w, e.item);
         }
     }
 
-    /** Restore entries written by saveCkpt(); capacity unchanged. */
+    /**
+     * Restore entries written by saveCkpt(); capacity unchanged. A
+     * count above the capacity, or ready cycles out of order, fail
+     * the reader.
+     */
     void
     loadCkpt(CkptReader &r)
     {
         q_.clear();
         const std::uint64_t n = r.varint();
+        if (n > capacity_)
+            r.fail("delay queue over capacity");
         for (std::uint64_t i = 0; i < n; ++i) {
-            const Cycle ready = r.u64();
-            T item{};
+            Entry e{};
+            e.ready = r.u64();
+            if (!q_.empty() && e.ready < q_.back().ready)
+                r.fail("delay queue ready cycles out of order");
             if constexpr (std::has_unique_object_representations_v<T>)
-                r.pod(item);
+                r.pod(e.item);
             else
-                ckptValue(r, item);
-            q_.emplace_back(ready, std::move(item));
+                ckptValue(r, e.item);
+            q_.push_back(std::move(e));
         }
     }
 
@@ -169,13 +184,19 @@ class DelayQueue
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &e : q_)
-            fn(e.second);
+        for (std::size_t i = 0; i < q_.size(); ++i)
+            fn(q_[i].item);
     }
 
   private:
+    struct Entry
+    {
+        Cycle ready;
+        T item;
+    };
+
     std::size_t capacity_;
-    std::deque<std::pair<Cycle, T>> q_;
+    Ring<Entry> q_;
 };
 
 } // namespace amsc

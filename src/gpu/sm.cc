@@ -9,7 +9,8 @@ namespace amsc
 
 Sm::Sm(const SmParams &params, Network *net, SliceFn slice_for)
     : params_(params), net_(net), sliceFor_(std::move(slice_for)),
-      l1_(params.l1), mshrs_(params.l1Mshrs, params.l1MshrTargets)
+      l1_(params.l1), mshrs_(params.l1Mshrs, params.l1MshrTargets),
+      hitQueue_(params.l1Latency + 1)
 {
     warps_.resize(params_.maxResidentWarps);
     for (std::uint32_t i = 0; i < params_.maxResidentWarps; ++i)
@@ -346,8 +347,7 @@ Sm::onReply(const NocMessage &msg, Cycle now)
         return;
     }
     l1_.fill(line, false, params_.cluster, now);
-    const std::vector<std::uint32_t> targets = mshrs_.complete(line);
-    for (const std::uint32_t slot : targets)
+    for (const std::uint32_t slot : mshrs_.complete(line))
         completeAccess(slot, now);
 }
 

@@ -265,7 +265,11 @@ class Sm
     /** Outstanding warps per active CTA id. */
     std::vector<std::pair<CtaId, std::uint32_t>> activeCtaWarps_;
 
-    /** L1 hit completions in flight (payload = warp slot). */
+    /**
+     * L1 hit completions in flight (payload = warp slot). One load
+     * uses the L1 port per cycle and each hit waits out l1Latency, so
+     * l1Latency + 1 slots bound it.
+     */
     DelayQueue<std::uint32_t> hitQueue_;
     /** Outstanding atomics: line -> warp slot (no merging: each
      *  read-modify-write gets its own reply). */

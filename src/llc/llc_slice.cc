@@ -40,16 +40,10 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
     if (msg.kind == MsgKind::ReadReq ||
         msg.kind == MsgKind::AtomicReq) {
         const bool is_atomic = msg.kind == MsgKind::AtomicReq;
-        // A miss needs MSHR space (entry or merge target); a primary
-        // miss additionally needs miss-queue space.
-        const bool in_cache = tags_.probe(line) != nullptr;
+        // A miss needs MSHR space (entry or merge target).
         const bool merged = mshrs_.contains(line);
-        if (!in_cache) {
-            if (!mshrs_.canAllocate(line))
-                return false;
-            if (!merged && missQueue_.full())
-                return false;
-        }
+        if (tags_.probe(line) == nullptr && !mshrs_.canAllocate(line))
+            return false;
 
         if (is_atomic)
             ++stats_.atomics;
@@ -69,17 +63,14 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
             if (is_atomic) {
                 // Read-modify-write at the ROP: the line is updated
                 // in place (dirty under write-back, forwarded under
-                // write-through). Known modeling gap, kept for
-                // bit-exactness with the seed: a write-through RMW
-                // whose forward finds the miss queue full is dropped
-                // from the DRAM traffic rather than retried.
-                if (writeThrough_(appOf_(msg.src))) {
-                    if (!missQueue_.full())
-                        missQueue_.push({line, true}, now,
-                                        params_.missLatency);
-                } else {
+                // write-through). The miss queue is unbounded; the
+                // forward waits there until mem_->canAccept, the
+                // slice's real DRAM backpressure.
+                if (writeThrough_(appOf_(msg.src)))
+                    missQueue_.push({line, true}, now,
+                                    params_.missLatency);
+                else
                     hit->dirty = true;
-                }
             }
             queueReply(line, msg.src, now, params_.hitLatency,
                        is_atomic);
@@ -106,18 +97,10 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
 
     if (msg.kind == MsgKind::WriteReq) {
         // No-write-allocate; policy depends on the owning app's mode.
-        // Backpressure is checked before the policy-training access
-        // so one logical write trains the set-dueling/bypass state
-        // exactly once, on the attempt that completes; stalled
-        // attempts keep the historical recency-refresh-per-attempt
-        // (touchForRetry), which preserves bit-exactness for the
-        // timestamp policies.
+        // A write never stalls here: forwards wait in the unbounded
+        // miss queue until mem_->canAccept.
         const bool wt = writeThrough_(appOf_(msg.src));
         const bool forward = wt || tags_.probe(line) == nullptr;
-        if (forward && missQueue_.full()) {
-            tags_.touchForRetry(line, now, msg.src);
-            return false;
-        }
         CacheLine *line_p = tags_.access(line, now, msg.src);
 
         ++stats_.writes;
@@ -320,8 +303,8 @@ LlcSlice::saveCkpt(CkptWriter &w) const
     missQueue_.saveCkpt(w);
     replyQueue_.saveCkpt(w);
     w.varint(writebackQueue_.size());
-    for (const Addr a : writebackQueue_)
-        w.u64(a);
+    for (std::size_t i = 0; i < writebackQueue_.size(); ++i)
+        w.u64(writebackQueue_[i]);
     w.pod(stats_);
 }
 

@@ -20,13 +20,13 @@
 #define AMSC_LLC_LLC_SLICE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 
 #include "cache/mshr.hh"
 #include "cache/tag_array.hh"
 #include "common/delay_queue.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/memory_system.hh"
@@ -164,11 +164,14 @@ class LlcSlice
     void loadCkpt(CkptReader &r);
 
   private:
-    /** Pending read target: requesting SM (+ atomic flag). */
+    /**
+     * Pending read target: requesting SM (+ atomic flag). Trivially
+     * constructible, so the MSHR target table is not initialized.
+     */
     struct ReadTarget
     {
         SmId sm;
-        bool atomic = false;
+        bool atomic;
     };
 
     friend void ckptValue(CkptWriter &w, const ReadTarget &t);
@@ -201,6 +204,13 @@ class LlcSlice
     TagArray tags_;
     MshrFile<ReadTarget> mshrs_;
 
+    /*
+     * The miss, reply and write-back queues have no structural bound
+     * (DRAM and reply-network backpressure let them back up), so they
+     * start empty and double when full: they stop allocating at their
+     * high-water mark without pinning a worst-case reservation.
+     */
+
     /** Request that could not complete (resource stall). */
     std::optional<NocMessage> stalledReq_;
     /** Misses waiting out the miss latency before the DRAM queue. */
@@ -208,7 +218,7 @@ class LlcSlice
     /** Replies waiting out the hit/fill latency before injection. */
     DelayQueue<NocMessage> replyQueue_;
     /** Write-backs (dirty evictions + flush passes) towards DRAM. */
-    std::deque<Addr> writebackQueue_;
+    Ring<Addr> writebackQueue_;
 
     LlcSliceStats stats_;
 };

@@ -11,7 +11,6 @@
 #define AMSC_NOC_ARBITER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/ckpt.hh"
 
@@ -37,44 +36,25 @@ class RoundRobinArbiter
     std::uint32_t numInputs() const { return numInputs_; }
 
     /**
-     * Grant among the asserted request bits.
+     * Grant the first requesting input at or after the pointer.
      *
-     * @param requests request flags, one per input.
+     * @param requested `bool(std::uint32_t input)`: does @p input
+     *                  request this cycle? Called in round-robin order
+     *                  until one does.
      * @return winning input index, or numInputs() if none requested.
      */
+    template <typename Requested>
     std::uint32_t
-    grant(const std::vector<bool> &requests)
+    grant(Requested &&requested)
     {
+        std::uint32_t cand = pointer_;
         for (std::uint32_t i = 0; i < numInputs_; ++i) {
-            const std::uint32_t cand = (pointer_ + i) % numInputs_;
-            if (cand < requests.size() && requests[cand]) {
-                pointer_ = (cand + 1) % numInputs_;
+            if (requested(cand)) {
+                pointer_ = cand + 1 == numInputs_ ? 0 : cand + 1;
                 return cand;
             }
-        }
-        return numInputs_;
-    }
-
-    /**
-     * Grant among the inputs whose requested output equals @p out.
-     *
-     * Equivalent to grant() on the bit vector
-     * `requests[i] = (requested_out[i] == out)` -- same winner, same
-     * pointer update -- without materializing that vector. Used by
-     * the router's switch allocator, where each input requests at
-     * most one output per cycle.
-     */
-    std::uint32_t
-    grantMatching(const std::vector<std::uint32_t> &requested_out,
-                  std::uint32_t out)
-    {
-        for (std::uint32_t i = 0; i < numInputs_; ++i) {
-            const std::uint32_t cand = (pointer_ + i) % numInputs_;
-            if (cand < requested_out.size() &&
-                requested_out[cand] == out) {
-                pointer_ = (cand + 1) % numInputs_;
-                return cand;
-            }
+            if (++cand == numInputs_)
+                cand = 0;
         }
         return numInputs_;
     }

@@ -12,6 +12,10 @@
  * Inside a crossbar network the channel also wakes its endpoints: a
  * sent flit sets the receiver's live bit and a returned credit the
  * sender's (noc/live_set.hh), so only components with work are ticked.
+ *
+ * The credit protocol bounds both wires by the credit count: flits in
+ * flight plus credits in flight never exceed it, so both delay queues
+ * are reserved to it at construction and never allocate afterwards.
  */
 
 #ifndef AMSC_NOC_CHANNEL_HH
@@ -42,7 +46,8 @@ class FlitChannel
                 std::uint32_t credits, double length_mm,
                 std::uint32_t width_bytes)
         : flitLatency_(flit_latency), creditLatency_(credit_latency),
-          senderCredits_(credits)
+          senderCredits_(credits), flits_(credits),
+          creditReturns_(credits)
     {
         activity_.lengthMm = length_mm;
         activity_.widthBytes = width_bytes;
@@ -174,11 +179,16 @@ class FlitChannel
         w.u64(activity_.flitTraversals);
     }
 
-    /** Restore state written by saveCkpt(). */
+    /**
+     * Restore state written by saveCkpt(). Credits, flits or credit
+     * returns beyond the channel's credit count fail the reader.
+     */
     void
     loadCkpt(CkptReader &r)
     {
         senderCredits_ = r.u32();
+        if (senderCredits_ > flits_.capacity())
+            r.fail("channel credits over the buffer depth");
         flits_.loadCkpt(r);
         creditReturns_.loadCkpt(r);
         activity_.flitTraversals = r.u64();

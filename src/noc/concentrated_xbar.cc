@@ -18,6 +18,7 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
     reqPorts_ = static_cast<std::uint32_t>(divCeil(sms, conc_));
     repPorts_ = static_cast<std::uint32_t>(divCeil(slices, conc_));
     const std::uint32_t c = conc_;
+    const auto local = [c](std::uint32_t dst) { return dst % c; };
 
     // ---- Request network: concentrated SMs -> distributed slices --
     RouterParams rq;
@@ -27,8 +28,8 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
     rq.vcDepthFlits = params_.vcDepthFlits;
     rq.pipelineLatency = params_.routerPipelineLatency;
     rq.channelWidthBytes = params_.channelWidthBytes;
-    Router *req_router = makeRouter(
-        rq, [c](const NocMessage &m) { return m.dst / c; });
+    Router *req_router =
+        makeRouter(rq, slices, [c](std::uint32_t dst) { return dst / c; });
 
     for (std::uint32_t p = 0; p < reqPorts_; ++p) {
         FlitChannel *ch =
@@ -49,8 +50,7 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
         req_router->connectOutput(p, ch);
         const std::uint32_t dsts = std::min(c, slices - p * c);
         reqDist_.push_back(std::make_unique<DistributorAdapter>(
-            ch, dsts, params_.ejectQueueCap,
-            [c](std::uint32_t dst) { return dst % c; }));
+            ch, dsts, params_.ejectQueueCap, dstTable(slices, local)));
     }
 
     // ---- Reply network: concentrated slices -> distributed SMs ----
@@ -61,8 +61,8 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
     rp.vcDepthFlits = params_.vcDepthFlits;
     rp.pipelineLatency = params_.routerPipelineLatency;
     rp.channelWidthBytes = params_.channelWidthBytes;
-    Router *rep_router = makeRouter(
-        rp, [c](const NocMessage &m) { return m.dst / c; });
+    Router *rep_router =
+        makeRouter(rp, sms, [c](std::uint32_t dst) { return dst / c; });
 
     for (std::uint32_t p = 0; p < repPorts_; ++p) {
         FlitChannel *ch =
@@ -82,8 +82,7 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
         rep_router->connectOutput(p, ch);
         const std::uint32_t dsts = std::min(c, sms - p * c);
         repDist_.push_back(std::make_unique<DistributorAdapter>(
-            ch, dsts, params_.ejectQueueCap,
-            [c](std::uint32_t dst) { return dst % c; }));
+            ch, dsts, params_.ejectQueueCap, dstTable(sms, local)));
     }
     wireLiveSet();
 }

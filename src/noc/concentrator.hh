@@ -11,6 +11,10 @@
  * head-of-line blocking when the target endpoint queue is full. Port
  * contention in these adapters is exactly why C-Xbar loses performance
  * at high concentration in Figure 7a.
+ *
+ * Every per-endpoint queue is a ring reserved to its cap, and the
+ * distributor maps a destination to its local queue through a table
+ * the topology fills, so neither adapter allocates while it runs.
  */
 
 #ifndef AMSC_NOC_CONCENTRATOR_HH
@@ -18,15 +22,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/ckpt.hh"
 #include "common/log.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
+#include "noc/endpoint.hh"
 #include "noc/live_set.hh"
 #include "noc/message.hh"
 
@@ -40,7 +44,7 @@ class ConcentratorAdapter
     ConcentratorAdapter(FlitChannel *out, std::uint32_t width_bytes,
                         std::uint32_t num_srcs, std::size_t queue_cap)
         : out_(out), widthBytes_(width_bytes), queueCap_(queue_cap),
-          queues_(num_srcs), arb_(num_srcs)
+          queues_(num_srcs, Ring<NocMessage>(queue_cap)), arb_(num_srcs)
     {}
 
     bool
@@ -80,15 +84,11 @@ class ConcentratorAdapter
 
         if (current_ == kInvalidId) {
             // Pick the next non-empty source queue round-robin.
-            std::vector<bool> reqs(queues_.size());
-            bool any = false;
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                reqs[i] = !queues_[i].empty();
-                any = any || reqs[i];
-            }
-            if (!any)
+            const std::uint32_t pick = arb_.grant(
+                [this](std::uint32_t i) { return !queues_[i].empty(); });
+            if (pick == arb_.numInputs())
                 return;
-            current_ = arb_.grant(reqs);
+            current_ = pick;
             flitsSent_ = 0;
         }
 
@@ -147,41 +147,39 @@ class ConcentratorAdapter
     void
     saveCkpt(CkptWriter &w) const
     {
-        for (const auto &q : queues_) {
-            w.varint(q.size());
-            for (const NocMessage &m : q)
-                ckptValue(w, m);
-        }
+        for (const auto &q : queues_)
+            saveMessageQueue(w, q);
         arb_.saveCkpt(w);
         w.u32(current_);
         w.u32(flitsSent_);
     }
 
-    /** Restore state written by saveCkpt(). */
+    /**
+     * Restore state written by saveCkpt(). A queue over its cap, a
+     * cursor on a missing or empty queue, or a packet cursor past the
+     * current message's flits fail the reader.
+     */
     void
     loadCkpt(CkptReader &r)
     {
-        for (auto &q : queues_) {
-            q.clear();
-            const std::uint64_t n = r.varint();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                NocMessage m{};
-                ckptValue(r, m);
-                q.push_back(m);
-            }
-        }
+        for (auto &q : queues_)
+            loadMessageQueue(r, q, queueCap_, "concentrator queue");
         arb_.loadCkpt(r);
         current_ = r.u32();
         flitsSent_ = r.u32();
-        if (current_ != kInvalidId && current_ >= queues_.size())
+        if (current_ == kInvalidId)
+            return;
+        if (current_ >= queues_.size() || queues_[current_].empty())
             r.fail("concentrator cursor out of range");
+        if (flitsSent_ >= queues_[current_].front().numFlits(widthBytes_))
+            r.fail("concentrator packet cursor out of range");
     }
 
   private:
     FlitChannel *out_;
     std::uint32_t widthBytes_;
     std::size_t queueCap_;
-    std::vector<std::deque<NocMessage>> queues_;
+    std::vector<Ring<NocMessage>> queues_;
     RoundRobinArbiter arb_;
     std::uint32_t current_ = kInvalidId;
     std::uint32_t flitsSent_ = 0;
@@ -192,18 +190,18 @@ class ConcentratorAdapter
 class DistributorAdapter
 {
   public:
-    /** Maps msg.dst to a local endpoint index. */
-    using LocalFn = std::function<std::uint32_t(std::uint32_t)>;
-
     /**
      * @param in        last-hop channel.
      * @param num_dsts  endpoints sharing this port.
      * @param queue_cap per-endpoint message queue capacity.
-     * @param local_of  maps msg.dst to a local endpoint index.
+     * @param local_of  local endpoint index, indexed by msg.dst; a dst
+     *                  past the end is a routing error (panic).
      */
     DistributorAdapter(FlitChannel *in, std::uint32_t num_dsts,
-                       std::size_t queue_cap, LocalFn local_of)
-        : in_(in), queueCap_(queue_cap), queues_(num_dsts),
+                       std::size_t queue_cap,
+                       std::vector<std::uint32_t> local_of)
+        : in_(in), queueCap_(queue_cap),
+          queues_(num_dsts, Ring<NocMessage>(queue_cap)),
           localOf_(std::move(local_of))
     {}
 
@@ -234,7 +232,9 @@ class DistributorAdapter
         in_->returnCredit(now);
         if (flit.head) {
             pending_ = flit.msg;
-            pendingLocal_ = localOf_(flit.msg.dst);
+            pendingLocal_ = flit.msg.dst < localOf_.size()
+                ? localOf_[flit.msg.dst]
+                : kInvalidId;
             if (pendingLocal_ >= queues_.size())
                 panic("distributor: local index %u out of range",
                       pendingLocal_);
@@ -303,29 +303,22 @@ class DistributorAdapter
     void
     saveCkpt(CkptWriter &w) const
     {
-        for (const auto &q : queues_) {
-            w.varint(q.size());
-            for (const NocMessage &m : q)
-                ckptValue(w, m);
-        }
+        for (const auto &q : queues_)
+            saveMessageQueue(w, q);
         ckptValue(w, pending_);
         w.u32(pendingLocal_);
         w.b(havePending_);
     }
 
-    /** Restore state written by saveCkpt(). */
+    /**
+     * Restore state written by saveCkpt(). A queue over its cap or a
+     * latch on a missing queue fail the reader.
+     */
     void
     loadCkpt(CkptReader &r)
     {
-        for (auto &q : queues_) {
-            q.clear();
-            const std::uint64_t n = r.varint();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                NocMessage m{};
-                ckptValue(r, m);
-                q.push_back(m);
-            }
-        }
+        for (auto &q : queues_)
+            loadMessageQueue(r, q, queueCap_, "distributor queue");
         ckptValue(r, pending_);
         pendingLocal_ = r.u32();
         havePending_ = r.b();
@@ -336,8 +329,9 @@ class DistributorAdapter
   private:
     FlitChannel *in_;
     std::size_t queueCap_;
-    std::vector<std::deque<NocMessage>> queues_;
-    LocalFn localOf_;
+    std::vector<Ring<NocMessage>> queues_;
+    /** msg.dst -> local endpoint index. */
+    std::vector<std::uint32_t> localOf_;
     NocMessage pending_{};
     std::uint32_t pendingLocal_ = 0;
     bool havePending_ = false;

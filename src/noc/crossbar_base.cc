@@ -23,13 +23,6 @@ CrossbarBase::makeChannel(Cycle flit_latency, std::uint32_t credits,
     return channels_.back().get();
 }
 
-Router *
-CrossbarBase::makeRouter(const RouterParams &rp, Router::RouteFn fn)
-{
-    routers_.push_back(std::make_unique<Router>(rp, std::move(fn)));
-    return routers_.back().get();
-}
-
 void
 CrossbarBase::accountDelivery(NetworkStats &stats, const NocMessage &msg,
                               Cycle now) const

@@ -84,8 +84,30 @@ class CrossbarBase : public Network
     FlitChannel *makeChannel(Cycle flit_latency, std::uint32_t credits,
                              double length_mm);
 
-    /** Allocate and register a router. */
-    Router *makeRouter(const RouterParams &rp, Router::RouteFn fn);
+    /**
+     * Allocate and register a router whose route table sends a head
+     * flit for destination d (d < @p num_dsts) to @p port_of(d).
+     */
+    template <typename PortOf>
+    Router *
+    makeRouter(const RouterParams &rp, std::uint32_t num_dsts,
+               PortOf port_of)
+    {
+        routers_.push_back(
+            std::make_unique<Router>(rp, dstTable(num_dsts, port_of)));
+        return routers_.back().get();
+    }
+
+    /** The table {@p f(0), ..., @p f(@p n - 1)}. */
+    template <typename Fn>
+    static std::vector<std::uint32_t>
+    dstTable(std::uint32_t n, Fn f)
+    {
+        std::vector<std::uint32_t> t(n);
+        for (std::uint32_t d = 0; d < n; ++d)
+            t[d] = f(d);
+        return t;
+    }
 
     /**
      * Size the live set and wire every adapter, router and channel to

@@ -14,6 +14,9 @@
  * flits, which exhausts upstream credits and exerts backpressure into
  * the network -- this is exactly how "requests queue up in front of
  * the LLC slice" in the paper's shared-LLC bottleneck.
+ *
+ * Both message queues are rings reserved to their caps at
+ * construction; neither adapter allocates while it runs.
  */
 
 #ifndef AMSC_NOC_ENDPOINT_HH
@@ -21,10 +24,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <string>
 
 #include "common/ckpt.hh"
 #include "common/log.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "noc/channel.hh"
 #include "noc/live_set.hh"
@@ -32,6 +36,34 @@
 
 namespace amsc
 {
+
+/** Write a message queue: its length, then each message. */
+inline void
+saveMessageQueue(CkptWriter &w, const Ring<NocMessage> &q)
+{
+    w.varint(q.size());
+    for (std::size_t i = 0; i < q.size(); ++i)
+        ckptValue(w, q[i]);
+}
+
+/**
+ * Read a queue written by saveMessageQueue(); a length above @p cap
+ * fails the reader (@p what names the queue).
+ */
+inline void
+loadMessageQueue(CkptReader &r, Ring<NocMessage> &q, std::size_t cap,
+                 const char *what)
+{
+    q.clear();
+    const std::uint64_t n = r.varint();
+    if (n > cap)
+        r.fail(std::string(what) + " over its cap");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        NocMessage m{};
+        ckptValue(r, m);
+        q.push_back(m);
+    }
+}
 
 /** Message source: packetizes and feeds one channel. */
 class InjectionAdapter
@@ -44,7 +76,8 @@ class InjectionAdapter
      */
     InjectionAdapter(FlitChannel *out, std::uint32_t width_bytes,
                      std::size_t queue_cap)
-        : out_(out), widthBytes_(width_bytes), queueCap_(queue_cap)
+        : out_(out), widthBytes_(width_bytes), queueCap_(queue_cap),
+          queue_(queue_cap)
     {}
 
     /** @return true if another message can be queued. */
@@ -130,31 +163,31 @@ class InjectionAdapter
     void
     saveCkpt(CkptWriter &w) const
     {
-        w.varint(queue_.size());
-        for (const NocMessage &m : queue_)
-            ckptValue(w, m);
+        saveMessageQueue(w, queue_);
         w.u32(flitsSent_);
     }
 
-    /** Restore state written by saveCkpt(). */
+    /**
+     * Restore state written by saveCkpt(). More messages than the
+     * queue cap, or a packet cursor past the front message's flits,
+     * fail the reader.
+     */
     void
     loadCkpt(CkptReader &r)
     {
-        queue_.clear();
-        const std::uint64_t n = r.varint();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            NocMessage m{};
-            ckptValue(r, m);
-            queue_.push_back(m);
-        }
+        loadMessageQueue(r, queue_, queueCap_, "injection queue");
         flitsSent_ = r.u32();
+        if (flitsSent_ != 0 &&
+            (queue_.empty() ||
+             flitsSent_ >= queue_.front().numFlits(widthBytes_)))
+            r.fail("injection packet cursor out of range");
     }
 
   private:
     FlitChannel *out_;
     std::uint32_t widthBytes_;
     std::size_t queueCap_;
-    std::deque<NocMessage> queue_;
+    Ring<NocMessage> queue_;
     std::uint32_t flitsSent_ = 0;
     LiveBit self_;
 };
@@ -168,7 +201,7 @@ class EjectionAdapter
      * @param queue_cap  reassembled-message queue capacity.
      */
     EjectionAdapter(FlitChannel *in, std::size_t queue_cap)
-        : in_(in), queueCap_(queue_cap)
+        : in_(in), queueCap_(queue_cap), msgs_(queue_cap)
     {}
 
     /** Receive up to one flit (stalls when the queue is full). */
@@ -231,30 +264,25 @@ class EjectionAdapter
     void
     saveCkpt(CkptWriter &w) const
     {
-        w.varint(msgs_.size());
-        for (const NocMessage &m : msgs_)
-            ckptValue(w, m);
+        saveMessageQueue(w, msgs_);
         ckptValue(w, pending_);
     }
 
-    /** Restore state written by saveCkpt(). */
+    /**
+     * Restore state written by saveCkpt(); more messages than the
+     * queue cap fail the reader.
+     */
     void
     loadCkpt(CkptReader &r)
     {
-        msgs_.clear();
-        const std::uint64_t n = r.varint();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            NocMessage m{};
-            ckptValue(r, m);
-            msgs_.push_back(m);
-        }
+        loadMessageQueue(r, msgs_, queueCap_, "ejection queue");
         ckptValue(r, pending_);
     }
 
   private:
     FlitChannel *in_;
     std::size_t queueCap_;
-    std::deque<NocMessage> msgs_;
+    Ring<NocMessage> msgs_;
     NocMessage pending_{};
 };
 

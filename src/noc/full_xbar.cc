@@ -17,8 +17,8 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
     rq.vcDepthFlits = params_.vcDepthFlits;
     rq.pipelineLatency = params_.routerPipelineLatency;
     rq.channelWidthBytes = params_.channelWidthBytes;
-    reqRouter_ = makeRouter(
-        rq, [](const NocMessage &m) { return m.dst; });
+    reqRouter_ =
+        makeRouter(rq, slices, [](std::uint32_t dst) { return dst; });
 
     for (SmId sm = 0; sm < sms; ++sm) {
         FlitChannel *ch =
@@ -48,8 +48,8 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
     rp.vcDepthFlits = params_.vcDepthFlits;
     rp.pipelineLatency = params_.routerPipelineLatency;
     rp.channelWidthBytes = params_.channelWidthBytes;
-    repRouter_ = makeRouter(
-        rp, [](const NocMessage &m) { return m.dst; });
+    repRouter_ =
+        makeRouter(rp, sms, [](std::uint32_t dst) { return dst; });
 
     for (SliceId s = 0; s < slices; ++s) {
         FlitChannel *ch =

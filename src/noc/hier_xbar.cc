@@ -31,11 +31,8 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.vcDepthFlits = params_.vcDepthFlits;
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
-        const std::uint32_t spm_local = spm;
         smRoutersReq_.push_back(makeRouter(
-            rp, [spm_local](const NocMessage &m) {
-                return m.dst / spm_local;
-            }));
+            rp, slices, [spm](std::uint32_t dst) { return dst / spm; }));
     }
 
     // MC-routers: clusters inputs, spm slice outputs; route by
@@ -49,11 +46,8 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
         rp.gateable = true;
-        const std::uint32_t spm_local = spm;
         mcRoutersReq_.push_back(makeRouter(
-            rp, [spm_local](const NocMessage &msg) {
-                return msg.dst % spm_local;
-            }));
+            rp, slices, [spm](std::uint32_t dst) { return dst % spm; }));
     }
 
     // SM -> SM-router short links (cluster-major SM numbering).
@@ -107,11 +101,8 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
         rp.gateable = true;
-        const std::uint32_t spc_local = spc;
         mcRoutersRep_.push_back(makeRouter(
-            rp, [spc_local](const NocMessage &msg) {
-                return msg.dst / spc_local;
-            }));
+            rp, sms, [spc](std::uint32_t dst) { return dst / spc; }));
     }
 
     // SM-routers (reply): mcs inputs, spc SM outputs; route by the
@@ -124,11 +115,8 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.vcDepthFlits = params_.vcDepthFlits;
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
-        const std::uint32_t spc_local = spc;
         smRoutersRep_.push_back(makeRouter(
-            rp, [spc_local](const NocMessage &msg) {
-                return msg.dst % spc_local;
-            }));
+            rp, sms, [spc](std::uint32_t dst) { return dst % spc; }));
     }
 
     // Slice -> MC-router short links.

@@ -31,10 +31,13 @@ enum class MsgKind : std::uint8_t
     AtomicReq, ///< SM -> slice, read-modify-write at the ROP/LLC
 };
 
-/** One network message (a packet before flitization). */
+/**
+ * One network message (a packet before flitization). `kind` sits
+ * beside the 32-bit fields so the message packs into 40 bytes: every
+ * flit and message queue slot holds one.
+ */
 struct NocMessage
 {
-    MsgKind kind = MsgKind::ReadReq;
     /** Line-granular address. */
     Addr lineAddr = kNoAddr;
     /** Source endpoint: SM id (requests) or global slice id (replies). */
@@ -43,6 +46,7 @@ struct NocMessage
     std::uint32_t dst = 0;
     /** Total packet size in bytes (header + payload). */
     std::uint32_t sizeBytes = 16;
+    MsgKind kind = MsgKind::ReadReq;
     /** Cycle the message entered the source queue. */
     Cycle injectCycle = 0;
     /** Opaque requester context, echoed end to end. */

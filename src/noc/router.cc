@@ -5,8 +5,9 @@
 namespace amsc
 {
 
-Router::Router(const RouterParams &params, RouteFn route_fn)
-    : params_(params), routeFn_(std::move(route_fn))
+Router::Router(const RouterParams &params,
+               std::vector<std::uint32_t> routes)
+    : params_(params), routes_(std::move(routes))
 {
     if (params_.numInPorts == 0 || params_.numOutPorts == 0)
         fatal("router '%s' needs ports", params_.name.c_str());
@@ -14,6 +15,8 @@ Router::Router(const RouterParams &params, RouteFn route_fn)
         fatal("router '%s': only 1 VC per port is modeled (Table 1)",
               params_.name.c_str());
     inputs_.resize(params_.numInPorts);
+    for (auto &in : inputs_)
+        in.buffer.reserve(inputBufferDepth());
     outputs_.resize(params_.numOutPorts);
     for (auto &o : outputs_)
         o.arb.resize(params_.numInPorts);
@@ -111,13 +114,13 @@ Router::nextEventCycle() const
         const InputPort &in = inputs_[i];
         if (in.buffer.empty())
             continue;
-        const auto &front = in.buffer.front();
+        const BufferedFlit &front = in.buffer.front();
         std::uint32_t out_port;
         if (bypass_) {
             // Bypass hard-wires input i to output i.
             out_port = i;
-        } else if (front.second.head) {
-            out_port = routeFn_(front.second.msg);
+        } else if (front.flit.head) {
+            out_port = routeOf(front.flit.msg);
             if (out_port >= params_.numOutPorts)
                 return 0; // tick() will panic; force the live tick
             if (outputs_[out_port].lockedBy != kInvalidId)
@@ -133,7 +136,7 @@ Router::nextEventCycle() const
         const Cycle sendable = out.out->nextSendableCycle();
         if (sendable == kNoCycle)
             continue; // credits reappear only after a downstream pop
-        next = std::min(next, std::max(front.first, sendable));
+        next = std::min(next, std::max(front.eligibleAt, sendable));
     }
     return next;
 }
@@ -161,7 +164,7 @@ Router::acceptArrivals(Cycle now)
                 panic("router '%s': input buffer overflow "
                       "(credit protocol violated)",
                       params_.name.c_str());
-            in.buffer.emplace_back(eligible, in.in->receive(now));
+            in.buffer.push_back({eligible, in.in->receive(now)});
             ++bufferedFlits_;
             if (!bypass_)
                 ++activity_.bufferWrites;
@@ -177,11 +180,11 @@ Router::tickBypass(Cycle now)
     for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
         InputPort &in = inputs_[i];
         OutputPort &out = outputs_[i];
-        if (in.buffer.empty() || in.buffer.front().first > now)
+        if (in.buffer.empty() || in.buffer.front().eligibleAt > now)
             continue;
         if (out.out == nullptr || !out.out->canSend())
             continue;
-        Flit flit = std::move(in.buffer.front().second);
+        Flit flit = std::move(in.buffer.front().flit);
         in.buffer.pop_front();
         --bufferedFlits_;
         out.out->send(std::move(flit), now);
@@ -202,13 +205,13 @@ Router::tickAllocate(Cycle now)
     for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
         InputPort &in = inputs_[i];
         requestedOut_[i] = kInvalidId;
-        if (in.buffer.empty() || in.buffer.front().first > now)
+        if (in.buffer.empty() || in.buffer.front().eligibleAt > now)
             continue;
-        const Flit &flit = in.buffer.front().second;
+        const Flit &flit = in.buffer.front().flit;
 
         std::uint32_t out_port;
         if (flit.head) {
-            out_port = routeFn_(flit.msg);
+            out_port = routeOf(flit.msg);
             if (out_port >= params_.numOutPorts)
                 panic("router '%s': route to invalid port %u",
                       params_.name.c_str(), out_port);
@@ -242,14 +245,14 @@ Router::tickAllocate(Cycle now)
             continue;
         outputRequested_[o] = 0;
         OutputPort &out = outputs_[o];
-        const std::uint32_t winner =
-            out.arb.grantMatching(requestedOut_, o);
+        const std::uint32_t winner = out.arb.grant(
+            [this, o](std::uint32_t i) { return requestedOut_[i] == o; });
         if (winner >= params_.numInPorts)
             continue;
         ++activity_.allocRounds;
 
         InputPort &in = inputs_[winner];
-        Flit flit = std::move(in.buffer.front().second);
+        Flit flit = std::move(in.buffer.front().flit);
         in.buffer.pop_front();
         --bufferedFlits_;
         ++activity_.bufferReads;
@@ -277,9 +280,9 @@ Router::saveCkpt(CkptWriter &w) const
     w.b(bypass_);
     for (const InputPort &in : inputs_) {
         w.varint(in.buffer.size());
-        for (const auto &e : in.buffer) {
-            w.u64(e.first);
-            ckptValue(w, e.second);
+        for (std::size_t i = 0; i < in.buffer.size(); ++i) {
+            w.u64(in.buffer[i].eligibleAt);
+            ckptValue(w, in.buffer[i].flit);
         }
         w.u32(in.currentOut);
     }
@@ -301,10 +304,10 @@ Router::loadCkpt(CkptReader &r)
         if (n > inputBufferDepth())
             r.fail("router input buffer overflow");
         for (std::uint64_t i = 0; i < n; ++i) {
-            const Cycle eligible = r.u64();
-            Flit flit{};
-            ckptValue(r, flit);
-            in.buffer.emplace_back(eligible, flit);
+            BufferedFlit e{};
+            e.eligibleAt = r.u64();
+            ckptValue(r, e.flit);
+            in.buffer.push_back(e);
         }
         bufferedFlits_ += static_cast<std::uint32_t>(n);
         in.currentOut = r.u32();

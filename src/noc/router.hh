@@ -21,18 +21,22 @@
  * the router is considered power-gated and traffic is accounted as
  * bypass traversals. (*Structurally flits still pass through the
  * input FIFO object, but no buffer energy is charged.)
+ *
+ * Route computation is a table lookup: the topology constructor fills
+ * a dst -> output-port table, one entry per destination endpoint. The
+ * input buffers are rings reserved to `vcDepthFlits`, which credit
+ * flow control never exceeds, so a busy router allocates nothing.
  */
 
 #ifndef AMSC_NOC_ROUTER_HH
 #define AMSC_NOC_ROUTER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/ckpt.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
@@ -65,11 +69,11 @@ class Router
 {
   public:
     /**
-     * Routing function: maps a head flit's message to an output port.
+     * @param routes output port of a head flit, indexed by its
+     *               message's dst; a dst past the end is a routing
+     *               error (panic).
      */
-    using RouteFn = std::function<std::uint32_t(const NocMessage &)>;
-
-    Router(const RouterParams &params, RouteFn route_fn);
+    Router(const RouterParams &params, std::vector<std::uint32_t> routes);
 
     /** Attach the upstream channel feeding input @p port. */
     void connectInput(std::uint32_t port, FlitChannel *channel);
@@ -159,11 +163,18 @@ class Router
     void loadCkpt(CkptReader &r);
 
   private:
+    /** A buffered flit and the cycle it becomes SA-eligible. */
+    struct BufferedFlit
+    {
+        Cycle eligibleAt;
+        Flit flit;
+    };
+
     struct InputPort
     {
         FlitChannel *in = nullptr;
-        /** (eligibleAt, flit) FIFO; single VC per Table 1. */
-        std::deque<std::pair<Cycle, Flit>> buffer;
+        /** Flit FIFO; single VC per Table 1. */
+        Ring<BufferedFlit> buffer;
         /** Output locked by the in-flight packet (wormhole). */
         std::uint32_t currentOut = kInvalidId;
     };
@@ -176,12 +187,20 @@ class Router
         std::uint32_t lockedBy = kInvalidId;
     };
 
+    /** Output port of a head flit carrying @p msg; kInvalidId if none. */
+    std::uint32_t
+    routeOf(const NocMessage &msg) const
+    {
+        return msg.dst < routes_.size() ? routes_[msg.dst] : kInvalidId;
+    }
+
     void acceptArrivals(Cycle now);
     void tickBypass(Cycle now);
     void tickAllocate(Cycle now);
 
     RouterParams params_;
-    RouteFn routeFn_;
+    /** dst -> output port. */
+    std::vector<std::uint32_t> routes_;
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
     bool bypass_ = false;

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 
 #include "cache/atd.hh"
 #include "cache/cache_model.hh"
 #include "cache/mshr.hh"
 #include "cache/tag_array.hh"
+#include "common/error.hh"
+#include "common/rng.hh"
 
 namespace amsc
 {
@@ -174,6 +178,171 @@ TEST(Mshr, CountsAndClear)
     EXPECT_EQ(m.numActiveTargets(), 3u);
     m.clear();
     EXPECT_EQ(m.numActiveEntries(), 0u);
+}
+
+namespace
+{
+
+/** The map layout the flat MSHR table replaced: the reference. */
+struct MapMshr
+{
+    std::uint32_t entries;
+    std::uint32_t targets;
+    std::map<Addr, std::vector<int>> lines;
+
+    MshrAllocResult
+    allocate(Addr line, int t)
+    {
+        auto it = lines.find(line);
+        if (it != lines.end()) {
+            if (it->second.size() >= targets)
+                return MshrAllocResult::NoFreeTarget;
+            it->second.push_back(t);
+            return MshrAllocResult::Merged;
+        }
+        if (lines.size() >= entries)
+            return MshrAllocResult::NoFreeEntry;
+        lines[line].push_back(t);
+        return MshrAllocResult::NewEntry;
+    }
+
+    std::vector<std::uint8_t>
+    ckpt() const
+    {
+        CkptWriter w;
+        w.varint(lines.size());
+        for (const auto &[line, ts] : lines) {
+            w.u64(line);
+            w.varint(ts.size());
+            for (const int t : ts)
+                ckptValue(w, t);
+        }
+        return w.takeBuffer();
+    }
+};
+
+std::vector<std::uint8_t>
+mshrBytes(const MshrFile<int> &m)
+{
+    CkptWriter w;
+    m.saveCkpt(w);
+    return w.takeBuffer();
+}
+
+} // namespace
+
+TEST(Mshr, MatchesMapReferenceUnderRandomChurn)
+{
+    // Random allocate/complete/clear sequences against the map
+    // reference on several geometries: every result, every completed
+    // target list (in order) and the checkpoint bytes must match. The
+    // line pool holds a run of four lines that share one home bucket
+    // of the index plus random line-aligned addresses, and is larger
+    // than the table, so the table fills, target lists fill and
+    // probe runs form, wrap and get shifted back on erase.
+    for (const auto &[entries, targets] :
+         {std::pair<std::uint32_t, std::uint32_t>{1, 1}, {2, 3},
+          {4, 4}, {16, 4}, {64, 16}}) {
+        SCOPED_TRACE(std::to_string(entries) + "x" +
+                     std::to_string(targets));
+        MshrFile<int> m(entries, targets);
+        MapMshr ref{entries, targets, {}};
+        Rng rng(entries * 31 + targets);
+
+        std::vector<Addr> pool;
+        std::map<std::size_t, std::vector<Addr>> by_bucket;
+        for (Addr line = 0; line < 4096 * 128; line += 128)
+            by_bucket[m.homeBucket(line)].push_back(line);
+        for (const auto &[bucket, lines] : by_bucket) {
+            if (lines.size() >= 4) {
+                pool.assign(lines.begin(), lines.begin() + 4);
+                break;
+            }
+        }
+        ASSERT_EQ(pool.size(), 4u);
+        while (pool.size() < 3 * entries + 4)
+            pool.push_back(rng.below(1u << 20) * 128);
+
+        std::map<MshrAllocResult, int> outcomes;
+        int next = 0;
+        for (int step = 0; step < 30000; ++step) {
+            // Half the picks hit the colliding run, so its target
+            // lists fill.
+            const Addr line = pool[rng.below(
+                rng.below(2) == 0 ? 4 : pool.size())];
+            const std::uint64_t op = rng.below(1000);
+            if (op < 750) {
+                const bool can = m.canAllocate(line);
+                const MshrAllocResult want = ref.allocate(line, next);
+                const MshrAllocResult got = m.allocate(line, next);
+                ASSERT_EQ(got, want) << "step " << step;
+                ASSERT_EQ(can, want == MshrAllocResult::NewEntry ||
+                                   want == MshrAllocResult::Merged);
+                ++outcomes[got];
+                ++next;
+            } else if (op < 999) {
+                ASSERT_EQ(m.contains(line), ref.lines.count(line) != 0);
+                if (!m.contains(line))
+                    continue;
+                const auto done = m.complete(line);
+                const std::vector<int> got(done.begin(), done.end());
+                ASSERT_EQ(got, ref.lines[line]) << "step " << step;
+                ref.lines.erase(line);
+            } else {
+                m.clear();
+                ref.lines.clear();
+            }
+            ASSERT_EQ(m.numActiveEntries(), ref.lines.size());
+            ASSERT_EQ(m.hasFreeEntry(), ref.lines.size() < entries);
+            if (step % 50 == 0) {
+                std::size_t n = 0;
+                for (const auto &[l, ts] : ref.lines)
+                    n += ts.size();
+                ASSERT_EQ(m.numActiveTargets(), n);
+                const std::vector<std::uint8_t> bytes = ref.ckpt();
+                ASSERT_EQ(mshrBytes(m), bytes) << "step " << step;
+                MshrFile<int> copy(entries, targets);
+                CkptReader r(bytes.data(), bytes.size());
+                copy.loadCkpt(r);
+                ASSERT_EQ(mshrBytes(copy), bytes);
+            }
+        }
+        EXPECT_GT(outcomes[MshrAllocResult::NewEntry], 0);
+        if (targets > 1) {
+            EXPECT_GT(outcomes[MshrAllocResult::Merged], 0);
+        }
+        EXPECT_GT(outcomes[MshrAllocResult::NoFreeEntry], 0);
+        EXPECT_GT(outcomes[MshrAllocResult::NoFreeTarget], 0);
+    }
+}
+
+TEST(Mshr, LoaderRejectsCountsOverItsBounds)
+{
+    // A 2-entry, 2-target file: a payload at its bounds restores, one
+    // more entry or one more target fails the reader, and so does a
+    // repeated line.
+    const auto payload = [](const std::vector<std::pair<Addr, int>> &es) {
+        CkptWriter w;
+        w.varint(es.size());
+        for (const auto &[line, n] : es) {
+            w.u64(line);
+            w.varint(static_cast<std::uint64_t>(n));
+            for (int t = 0; t < n; ++t)
+                ckptValue(w, t);
+        }
+        return w.takeBuffer();
+    };
+    const auto load = [](const std::vector<std::uint8_t> &bytes) {
+        MshrFile<int> m(2, 2);
+        CkptReader r(bytes.data(), bytes.size());
+        m.loadCkpt(r);
+        return m.numActiveTargets();
+    };
+    EXPECT_EQ(load(payload({{128, 2}, {256, 2}})), 4u);
+    EXPECT_THROW(load(payload({{128, 1}, {256, 1}, {384, 1}})),
+                 FormatError);
+    EXPECT_THROW(load(payload({{128, 3}})), FormatError);
+    EXPECT_THROW(load(payload({{128, 1}, {128, 1}})), FormatError);
 }
 
 // ----------------------------------------------------------- CacheModel

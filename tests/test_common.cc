@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/delay_queue.hh"
+#include "common/error.hh"
 #include "common/kvargs.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -228,6 +230,106 @@ TEST(DelayQueue, ForEachVisitsAll)
     int sum = 0;
     q.forEach([&sum](const int &v) { sum += v; });
     EXPECT_EQ(sum, 3);
+}
+
+namespace
+{
+
+std::vector<std::uint8_t>
+queueBytes(const DelayQueue<int> &q)
+{
+    CkptWriter w;
+    q.saveCkpt(w);
+    return w.takeBuffer();
+}
+
+} // namespace
+
+TEST(DelayQueue, RingWrapsManyTimesInFifoOrder)
+{
+    // Capacity 5 sits in a ring of 8 slots. Pushing up to three and
+    // popping up to two items per cycle walks the head across the
+    // wrap point hundreds of times; every pop must match a plain
+    // FIFO reference, and a checkpoint taken mid-wrap must restore
+    // the same bytes and the same pops.
+    DelayQueue<int> q(5);
+    std::deque<std::pair<Cycle, int>> ref;
+    Rng rng(17);
+    int next = 0;
+    int popped = 0;
+    for (Cycle now = 0; now < 4000; ++now) {
+        for (std::uint64_t k = rng.below(4); k > 0 && !q.full(); --k) {
+            const Cycle lat = rng.below(3);
+            Cycle ready = now + lat;
+            if (!ref.empty() && ref.back().first > ready)
+                ready = ref.back().first;
+            q.push(next, now, lat);
+            ref.emplace_back(ready, next++);
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        for (int k = 0; k < 2 && q.ready(now); ++k) {
+            ASSERT_EQ(q.frontReadyCycle(), ref.front().first);
+            ASSERT_EQ(q.pop(now), ref.front().second);
+            ref.pop_front();
+            ++popped;
+        }
+        ASSERT_EQ(q.ready(now), !ref.empty() && ref.front().first <= now);
+        if (now % 97 == 0) {
+            const std::vector<std::uint8_t> bytes = queueBytes(q);
+            DelayQueue<int> copy(5);
+            CkptReader r(bytes.data(), bytes.size());
+            copy.loadCkpt(r);
+            EXPECT_TRUE(r.atEnd());
+            ASSERT_EQ(queueBytes(copy), bytes);
+            std::vector<int> a;
+            std::vector<int> b;
+            q.forEach([&a](const int &v) { a.push_back(v); });
+            copy.forEach([&b](const int &v) { b.push_back(v); });
+            ASSERT_EQ(a, b);
+        }
+    }
+    EXPECT_GT(popped, 2000);
+}
+
+TEST(DelayQueue, UnboundedQueueGrowsAcrossTheWrapPoint)
+{
+    // Each round pushes three and pops two, so the ring doubles
+    // while its head is off slot 0 and its contents wrap; a final
+    // burst grows it again. Order must survive every growth.
+    DelayQueue<int> q;
+    int next = 0;
+    int expect = 0;
+    for (int round = 0; round < 50; ++round) {
+        for (int k = 0; k < 3; ++k)
+            q.push(next++, round, 0);
+        for (int k = 0; k < 2; ++k)
+            ASSERT_EQ(q.pop(round), expect++);
+    }
+    for (int k = 0; k < 100; ++k)
+        q.push(next++, 50, 0);
+    while (!q.empty())
+        ASSERT_EQ(q.pop(50), expect++);
+    EXPECT_EQ(expect, next);
+}
+
+TEST(DelayQueue, LoaderRejectsCountOverCapacity)
+{
+    DelayQueue<int> q(2);
+    for (int n = 2; n <= 3; ++n) {
+        CkptWriter w;
+        w.varint(static_cast<std::uint64_t>(n));
+        for (int i = 0; i < n; ++i) {
+            w.u64(10);
+            w.pod(i);
+        }
+        CkptReader r(w.buffer().data(), w.buffer().size());
+        if (n == 2) {
+            q.loadCkpt(r);
+            EXPECT_EQ(q.size(), 2u);
+        } else {
+            EXPECT_THROW(q.loadCkpt(r), FormatError);
+        }
+    }
 }
 
 // --------------------------------------------------------------- Stats

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/error.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
 #include "noc/concentrator.hh"
@@ -19,13 +20,25 @@ namespace amsc
 
 // -------------------------------------------------------------- Arbiter
 
+namespace
+{
+
+/** Grant among the asserted bits of @p req. */
+std::uint32_t
+grantBits(RoundRobinArbiter &arb, const std::vector<bool> &req)
+{
+    return arb.grant([&req](std::uint32_t i) { return req[i]; });
+}
+
+} // namespace
+
 TEST(Arbiter, GrantsOnlyRequesters)
 {
     RoundRobinArbiter arb(4);
     std::vector<bool> req{false, true, false, false};
-    EXPECT_EQ(arb.grant(req), 1u);
+    EXPECT_EQ(grantBits(arb, req), 1u);
     req[1] = false;
-    EXPECT_EQ(arb.grant(req), 4u); // none
+    EXPECT_EQ(grantBits(arb, req), 4u); // none
 }
 
 TEST(Arbiter, RoundRobinIsFair)
@@ -34,7 +47,7 @@ TEST(Arbiter, RoundRobinIsFair)
     std::vector<bool> req{true, true, true};
     std::vector<int> wins(3, 0);
     for (int i = 0; i < 300; ++i)
-        ++wins[arb.grant(req)];
+        ++wins[grantBits(arb, req)];
     EXPECT_EQ(wins[0], 100);
     EXPECT_EQ(wins[1], 100);
     EXPECT_EQ(wins[2], 100);
@@ -44,17 +57,17 @@ TEST(Arbiter, PointerAdvancesPastWinner)
 {
     RoundRobinArbiter arb(4);
     std::vector<bool> req{true, false, false, true};
-    EXPECT_EQ(arb.grant(req), 0u);
+    EXPECT_EQ(grantBits(arb, req), 0u);
     // Pointer now at 1: next grant must pick 3 before 0.
-    EXPECT_EQ(arb.grant(req), 3u);
-    EXPECT_EQ(arb.grant(req), 0u);
+    EXPECT_EQ(grantBits(arb, req), 3u);
+    EXPECT_EQ(grantBits(arb, req), 0u);
 }
 
 TEST(Arbiter, PointerHoldsWithoutGrant)
 {
     RoundRobinArbiter arb(4);
     std::vector<bool> none{false, false, false, false};
-    arb.grant(none);
+    grantBits(arb, none);
     EXPECT_EQ(arb.pointer(), 0u);
 }
 
@@ -271,8 +284,8 @@ TEST(Distributor, RoutesToLocalQueues)
 {
     FlitChannel ch(1, 1, 8, 1.0, 32);
     InjectionAdapter inj(&ch, 32, 8);
-    DistributorAdapter dist(&ch, 2, 4,
-                            [](std::uint32_t dst) { return dst % 2; });
+    // dst -> local queue: dst % 2 over destinations 0..5.
+    DistributorAdapter dist(&ch, 2, 4, {0, 1, 0, 1, 0, 1});
     NocMessage m;
     m.sizeBytes = 16;
     m.dst = 5; // local 1
@@ -287,6 +300,126 @@ TEST(Distributor, RoutesToLocalQueues)
     ASSERT_TRUE(dist.hasMessage(1));
     EXPECT_EQ(dist.pop(1).dst, 5u);
     EXPECT_EQ(dist.pop(0).dst, 4u);
+}
+
+// --------------------------------------------- checkpoint loader bounds
+
+namespace
+{
+
+/** @p n default messages as a queue payload. */
+void
+writeQueue(CkptWriter &w, std::uint64_t n)
+{
+    w.varint(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ckptValue(w, NocMessage{});
+}
+
+/** Load @p w's bytes into @p c; true when the reader accepts them. */
+template <typename C>
+bool
+loads(C &c, const CkptWriter &w)
+{
+    CkptReader r(w.buffer().data(), w.buffer().size());
+    try {
+        c.loadCkpt(r);
+    } catch (const FormatError &) {
+        return false;
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(CkptBounds, InjectionQueueCap)
+{
+    // Queue cap 2: two messages restore, three fail the reader.
+    FlitChannel ch(1, 1, 8, 1.0, 32);
+    InjectionAdapter inj(&ch, 32, 2);
+    for (std::uint64_t n : {2, 3}) {
+        CkptWriter w;
+        writeQueue(w, n);
+        w.u32(0);
+        EXPECT_EQ(loads(inj, w), n == 2) << n;
+    }
+    // A packet cursor with nothing queued also fails.
+    CkptWriter w;
+    writeQueue(w, 0);
+    w.u32(1);
+    EXPECT_FALSE(loads(inj, w));
+}
+
+TEST(CkptBounds, EjectionQueueCap)
+{
+    FlitChannel ch(1, 1, 8, 1.0, 32);
+    EjectionAdapter ej(&ch, 2);
+    for (std::uint64_t n : {2, 3}) {
+        CkptWriter w;
+        writeQueue(w, n);
+        ckptValue(w, NocMessage{});
+        EXPECT_EQ(loads(ej, w), n == 2) << n;
+    }
+}
+
+TEST(CkptBounds, ConcentratorQueueCapAndCursor)
+{
+    // Two sources, cap 2 each; the second source's queue carries the
+    // count under test.
+    FlitChannel ch(1, 1, 8, 1.0, 32);
+    ConcentratorAdapter conc(&ch, 32, 2, 2);
+    const auto payload = [](std::uint64_t n, std::uint32_t cursor) {
+        CkptWriter w;
+        writeQueue(w, 0);
+        writeQueue(w, n);
+        w.u32(0);      // arbiter pointer
+        w.u32(cursor); // current source
+        w.u32(0);      // flits sent
+        return w;
+    };
+    EXPECT_TRUE(loads(conc, payload(2, kInvalidId)));
+    EXPECT_TRUE(loads(conc, payload(2, 1)));
+    EXPECT_FALSE(loads(conc, payload(3, kInvalidId)));
+    // A cursor on an empty queue would make tick() read its front.
+    EXPECT_FALSE(loads(conc, payload(2, 0)));
+    EXPECT_FALSE(loads(conc, payload(2, 2)));
+}
+
+TEST(CkptBounds, DistributorQueueCap)
+{
+    FlitChannel ch(1, 1, 8, 1.0, 32);
+    DistributorAdapter dist(&ch, 2, 2, {0, 1});
+    for (std::uint64_t n : {2, 3}) {
+        CkptWriter w;
+        writeQueue(w, n);
+        writeQueue(w, 0);
+        ckptValue(w, NocMessage{});
+        w.u32(0);
+        w.b(false);
+        EXPECT_EQ(loads(dist, w), n == 2) << n;
+    }
+}
+
+TEST(CkptBounds, ChannelCredits)
+{
+    // Four credits: flits or credit returns in flight past four, or
+    // more banked credits than that, fail the reader.
+    FlitChannel ch(1, 1, 4, 1.0, 32);
+    const auto payload = [](std::uint32_t credits, std::uint64_t flits) {
+        CkptWriter w;
+        w.u32(credits);
+        w.varint(flits);
+        for (std::uint64_t i = 0; i < flits; ++i) {
+            w.u64(1);
+            ckptValue(w, Flit{});
+        }
+        w.varint(0); // credit returns
+        w.u64(0);    // traversals
+        return w;
+    };
+    EXPECT_TRUE(loads(ch, payload(0, 4)));
+    EXPECT_FALSE(loads(ch, payload(0, 5)));
+    EXPECT_FALSE(loads(ch, payload(5, 0)));
 }
 
 // ---------------------------------------------------------------- Router
@@ -306,12 +439,22 @@ struct RouterRig
         : rp(makeParams(ports, gateable)),
           in(ports, FlitChannel(1, 1, rp.vcDepthFlits, 1.0, 32)),
           out(ports, FlitChannel(1, 1, 8, 1.0, 32)),
-          router(rp, [](const NocMessage &m) { return m.dst; })
+          router(rp, identityRoutes(ports))
     {
         for (std::uint32_t p = 0; p < ports; ++p) {
             router.connectInput(p, &in[p]);
             router.connectOutput(p, &out[p]);
         }
+    }
+
+    /** Route table sending dst d to output d. */
+    static std::vector<std::uint32_t>
+    identityRoutes(std::uint32_t ports)
+    {
+        std::vector<std::uint32_t> routes(ports);
+        for (std::uint32_t d = 0; d < ports; ++d)
+            routes[d] = d;
+        return routes;
     }
 
     static RouterParams
