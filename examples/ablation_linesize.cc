@@ -1,22 +1,31 @@
 /**
  * @file
- * Ablation: cache-line size (paper section 5).
+ * Ablation: cache-line size (paper section 5), through the library
+ * API.
  *
  * The paper evaluates 256 B lines and reports ~10% more sharers per
  * cache line, noting that more sharers exacerbate the LLC bandwidth
- * problem adaptive caching addresses. This bench measures, for 128 B
- * and 256 B lines: the average sharer count of LLC-resident lines,
- * and the shared/private/adaptive IPC of a private-friendly workload.
+ * problem adaptive caching addresses. This example measures, for
+ * 128 B and 256 B lines: the average sharer count of LLC-resident
+ * lines, and the shared/private/adaptive IPC of a private-friendly
+ * workload. It shows the two hooks a scenario cannot express: a
+ * generator decorator installed by a SweepPoint setup hook, and a
+ * post hook that reads state no emitted column carries (the sharer
+ * masks of resident lines).
+ *
+ * Usage: ablation_linesize [threads=N] [max_cycles=N] [key=value ...]
  */
 
 #include <array>
+#include <cstdio>
 #include <memory>
 
-#include "bench/bench_util.hh"
 #include "common/bitutils.hh"
+#include "common/kvargs.hh"
+#include "sim/sweep.hh"
+#include "workloads/suite.hh"
 
 using namespace amsc;
-using namespace amsc::bench;
 
 namespace
 {
@@ -89,8 +98,15 @@ int
 main(int argc, char **argv)
 {
     const KvArgs args = KvArgs::parse(argc, argv);
-    const SimConfig base = benchConfig(args);
-    const SweepRunner runner = benchRunner(args);
+    // The figure scenarios' scaled run: profiling window and epoch
+    // shrink with the horizon (paper: 50 K / 1 M).
+    SimConfig base;
+    base.maxCycles = 60000;
+    base.profileLen = 5000;
+    base.epochLen = 50000;
+    base.applyKv(args);
+    const SweepRunner runner(
+        static_cast<unsigned>(args.getUint("threads", 0)));
     const WorkloadSpec &spec = WorkloadSuite::byName("NN");
 
     // 2 line sizes x 3 policies; the shared points additionally
@@ -125,13 +141,12 @@ main(int argc, char **argv)
             points.push_back(std::move(p));
         }
     }
-    const std::vector<RunResult> results =
-        runAndEmit(args, runner, points);
+    const std::vector<RunResult> results = runner.run(points);
 
     std::printf("# Ablation: cache line size (workload NN)\n\n");
     std::printf("| line size | avg sharers/line | shared IPC | "
-                "private/shared | adaptive/shared |\n");
-    printRule(5);
+                "private/shared | adaptive/shared |\n"
+                "|---|---|---|---|---|\n");
 
     const double sharers128 = sharer_slots[0];
     const double sharers256 = sharer_slots[1];

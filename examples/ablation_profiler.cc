@@ -1,24 +1,57 @@
 /**
  * @file
- * Ablation: accuracy of the section-4.4 decision models.
+ * Ablation: accuracy of the section-4.4 decision models, through the
+ * library API.
  *
  * For a representative subset of workloads, compares the profiler's
  * shared-mode predictions (ATD private miss rate, LSP, bandwidth
  * model) against ground truth measured by actually running the
  * private organization, and reports which rule drove each decision.
+ * The predictions live in the LLC's last ProfileSnapshot, which no
+ * emitted column carries, so a SweepPoint post hook reads it while
+ * the adaptive run's GpuSystem is still alive.
+ *
+ * Usage: ablation_profiler [threads=N] [max_cycles=N] [key=value ...]
  */
 
-#include "bench/bench_util.hh"
+#include <cstdio>
+
+#include "common/kvargs.hh"
+#include "sim/sweep.hh"
+#include "workloads/suite.hh"
 
 using namespace amsc;
-using namespace amsc::bench;
+
+namespace
+{
+
+/** One-workload sweep point under @p policy. */
+SweepPoint
+policyPoint(SimConfig cfg, const WorkloadSpec &spec, LlcPolicy policy)
+{
+    cfg.llcPolicy = policy;
+    SweepPoint p;
+    p.label = spec.abbr + "/" + llcPolicyName(policy);
+    p.cfg = std::move(cfg);
+    p.apps = {spec};
+    return p;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const KvArgs args = KvArgs::parse(argc, argv);
-    const SimConfig base = benchConfig(args);
-    const SweepRunner runner = benchRunner(args);
+    // The figure scenarios' scaled run: profiling window and epoch
+    // shrink with the horizon (paper: 50 K / 1 M).
+    SimConfig base;
+    base.maxCycles = 60000;
+    base.profileLen = 5000;
+    base.epochLen = 50000;
+    base.applyKv(args);
+    const SweepRunner runner(
+        static_cast<unsigned>(args.getUint("threads", 0)));
 
     const char *const names[] = {"LUD", "GEMM", "BP", "AN",
                                  "NN",  "MM",   "BS", "VA"};
@@ -42,14 +75,13 @@ main(int argc, char **argv)
         points.push_back(
             policyPoint(base, spec, LlcPolicy::ForceShared));
     }
-    const std::vector<RunResult> results =
-        runAndEmit(args, runner, points);
+    const std::vector<RunResult> results = runner.run(points);
 
     std::printf("# Ablation: profiler prediction accuracy (section "
                 "4.4 models)\n\n");
     std::printf("| app | class | miss_s meas | miss_p pred | miss_p "
-                "meas | LSP_s | LSP_p pred | decision | rule |\n");
-    printRule(9);
+                "meas | LSP_s | LSP_p pred | decision | rule |\n"
+                "|---|---|---|---|---|---|---|---|---|\n");
 
     for (std::size_t i = 0; i < kApps; ++i) {
         const WorkloadSpec &spec = WorkloadSuite::byName(names[i]);

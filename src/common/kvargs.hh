@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal key=value argument parsing for benches, examples and
+ * Minimal key=value argument parsing for the CLI, examples and
  * scenario files.
  *
  * All amsc executables accept overrides of the form `key=value`

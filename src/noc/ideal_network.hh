@@ -2,8 +2,8 @@
  * @file
  * Ideal fixed-latency, infinite-bandwidth network.
  *
- * Used by unit tests and ablation benches to isolate cache/DRAM
- * effects from NoC contention. Not part of the paper's design space.
+ * Used by unit tests and by experiments that isolate cache/DRAM
+ * effects from NoC contention (`noc = ideal`). Not part of the paper's design space.
  */
 
 #ifndef AMSC_NOC_IDEAL_NETWORK_HH

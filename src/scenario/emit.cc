@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/atomic_io.hh"
@@ -32,8 +33,8 @@ struct Cell
 
 /**
  * The metric schema. Power/energy are derived from the activity
- * snapshots with the same models the figure benches use (1.4 GHz
- * core clock), so the emitted row is self-contained.
+ * snapshots with the NoC and system energy models (1.4 GHz core
+ * clock), so the emitted row is self-contained.
  */
 std::vector<Cell>
 metricCells(const RunResult &r)
@@ -126,6 +127,25 @@ servingCells(const RunResult &r)
     };
 }
 
+/** Every cell of @p r: the metric cells, then the serving cells. */
+std::vector<Cell>
+allCells(const RunResult &r)
+{
+    std::vector<Cell> cells = metricCells(r);
+    const std::vector<Cell> serving = servingCells(r);
+    cells.insert(cells.end(), serving.begin(), serving.end());
+    return cells;
+}
+
+/** Unquoted cells that parse whole as a number (not `finished`). */
+bool
+isNumeric(const Cell &c)
+{
+    char *end = nullptr;
+    std::strtod(c.value.c_str(), &end);
+    return !c.quoted && !c.value.empty() && *end == '\0';
+}
+
 bool
 anyServing(const std::vector<RunResult> &results)
 {
@@ -190,6 +210,32 @@ servingColumns()
     return cols;
 }
 
+const std::vector<std::string> &
+numericColumns()
+{
+    static const std::vector<std::string> cols = [] {
+        std::vector<std::string> out;
+        for (const Cell &c : allCells(RunResult{})) {
+            if (isNumeric(c))
+                out.push_back(c.name);
+        }
+        return out;
+    }();
+    return cols;
+}
+
+std::vector<double>
+numericValues(const RunResult &r)
+{
+    // %.17g and integer cells parse back to the exact result values.
+    std::vector<double> out;
+    for (const Cell &c : allCells(r)) {
+        if (isNumeric(c))
+            out.push_back(std::strtod(c.value.c_str(), nullptr));
+    }
+    return out;
+}
+
 std::vector<EmitPoint>
 emitPoints(const std::vector<ExpandedPoint> &points)
 {
@@ -197,16 +243,6 @@ emitPoints(const std::vector<ExpandedPoint> &points)
     out.reserve(points.size());
     for (const ExpandedPoint &p : points)
         out.push_back({p.point.label, p.coords});
-    return out;
-}
-
-std::vector<EmitPoint>
-emitPoints(const std::vector<SweepPoint> &points)
-{
-    std::vector<EmitPoint> out;
-    out.reserve(points.size());
-    for (const SweepPoint &p : points)
-        out.push_back({p.label, {}});
     return out;
 }
 
@@ -323,11 +359,8 @@ emitJsonImpl(const std::string &scenario,
                << jsonEscape(points[i].coords[a].second) << "\"";
         }
         os << "}, \"metrics\": {";
-        auto cells = metricCells(results[i]);
-        if (with_serving) {
-            const auto serving = servingCells(results[i]);
-            cells.insert(cells.end(), serving.begin(), serving.end());
-        }
+        const auto cells = with_serving ? allCells(results[i])
+                                        : metricCells(results[i]);
         for (std::size_t c = 0; c < cells.size(); ++c) {
             os << (c ? ", " : "") << "\"" << cells[c].name << "\": ";
             if (cells[c].quoted)
@@ -390,18 +423,6 @@ writeOut(const std::string &content, const std::string &path)
         return;
     }
     writeFileAtomic(path, content);
-}
-
-void
-maybeEmit(const KvArgs &args, const std::vector<SweepPoint> &points,
-          const std::vector<RunResult> &results)
-{
-    const std::string json = args.getString("json", "");
-    const std::string csv = args.getString("csv", "");
-    if (!json.empty())
-        writeOut(emitJson("bench", emitPoints(points), results), json);
-    if (!csv.empty())
-        writeOut(emitCsv(emitPoints(points), results), csv);
 }
 
 } // namespace amsc::scenario

@@ -1,13 +1,14 @@
 /**
  * @file
- * Result emitters for scenario and bench sweeps.
+ * Result emitters for scenario sweeps.
  *
  * One metric schema, three renderings: CSV (stable column order,
  * %.17g doubles so values round-trip bit-exactly), JSON (one object
  * per point, axis coordinates included), and a human markdown table
  * for `amsc run`. The NoC power/area and system-energy models are
- * evaluated per point, so figure benches that derive energy numbers
- * (fig 7/14) are reproducible from the emitted raw columns alone.
+ * evaluated per point, so the figure reports that derive energy
+ * numbers (fig 7/14, scenario/report.hh) need the emitted raw
+ * columns alone.
  */
 
 #ifndef AMSC_SCENARIO_EMIT_HH
@@ -17,10 +18,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/kvargs.hh"
 #include "scenario/scenario.hh"
 #include "sim/gpu_system.hh"
-#include "sim/sweep.hh"
 
 namespace amsc::scenario
 {
@@ -36,10 +35,6 @@ struct EmitPoint
 std::vector<EmitPoint>
 emitPoints(const std::vector<ExpandedPoint> &points);
 
-/** Emit metadata of a bench SweepPoint grid (labels only). */
-std::vector<EmitPoint>
-emitPoints(const std::vector<SweepPoint> &points);
-
 /** Ordered union of axis names across @p points. */
 std::vector<std::string>
 axisColumns(const std::vector<EmitPoint> &points);
@@ -54,6 +49,15 @@ const std::vector<std::string> &metricColumns();
  * sweeps keep the historical schema byte-for-byte.
  */
 const std::vector<std::string> &servingColumns();
+
+/**
+ * The numeric columns among metricColumns() and servingColumns():
+ * all but finished, final_llc_mode, app_ipc and app_instructions.
+ */
+const std::vector<std::string> &numericColumns();
+
+/** The values of numericColumns() for @p r, in that order. */
+std::vector<double> numericValues(const RunResult &r);
 
 /** CSV: header plus one row per point. */
 std::string emitCsv(const std::vector<EmitPoint> &points,
@@ -87,14 +91,6 @@ std::string renderTable(const std::vector<EmitPoint> &points,
 
 /** Write @p content to @p path ("-" or "" = stdout). */
 void writeOut(const std::string &content, const std::string &path);
-
-/**
- * Bench hook: honour `json=FILE` / `csv=FILE` command-line keys by
- * dumping the grid's raw results next to the bench's table output.
- */
-void maybeEmit(const KvArgs &args,
-               const std::vector<SweepPoint> &points,
-               const std::vector<RunResult> &results);
 
 } // namespace amsc::scenario
 

@@ -91,22 +91,6 @@ parsePattern(const std::string &pattern, const std::string &origin)
           origin.c_str(), pattern.c_str()));
 }
 
-const char *
-patternName(AccessPattern p)
-{
-    switch (p) {
-      case AccessPattern::Broadcast:
-        return "broadcast";
-      case AccessPattern::ZipfShared:
-        return "zipf";
-      case AccessPattern::TiledShared:
-        return "tiled";
-      case AccessPattern::PrivateStream:
-        return "stream";
-    }
-    return "?";
-}
-
 /** Suite lookup with a nearest-abbreviation error message. */
 const WorkloadSpec &
 suiteByName(const std::string &abbr, const std::string &origin)
@@ -239,10 +223,27 @@ f64s(double v)
 
 } // namespace
 
+const char *
+patternName(AccessPattern p)
+{
+    switch (p) {
+      case AccessPattern::Broadcast:
+        return "broadcast";
+      case AccessPattern::ZipfShared:
+        return "zipf";
+      case AccessPattern::TiledShared:
+        return "tiled";
+      case AccessPattern::PrivateStream:
+        return "stream";
+    }
+    return "?";
+}
+
 namespace
 {
 /** Block names that may repeat in a scenario file. */
-const std::vector<std::string> kRepeatableBlocks = {"app", "grid"};
+const std::vector<std::string> kRepeatableBlocks = {"app", "grid",
+                                                    "report"};
 } // namespace
 
 KvArgs
@@ -365,6 +366,33 @@ Scenario::fromKv(KvArgs kv, const std::string &origin)
             }
         }
         s.grids_.push_back(std::move(g));
+    }
+
+    const auto report_prefixes = blockPrefixes(kv, "report");
+    if (!report_prefixes.empty()) {
+        std::vector<std::string> axes;
+        for (const SweepAxis &a : s.axes_)
+            axes.push_back(a.key);
+        for (const ScenarioGrid &g : s.grids_) {
+            for (const SweepAxis &a : g.axes)
+                axes.push_back(a.key);
+        }
+        // A baseline value must be one its axis can take; whether
+        // this grid holds it is reportGap()'s question.
+        const auto check_value = [&s, &origin](const std::string &key,
+                                               const std::string &value) {
+            if (key == "workload")
+                appsFromWorkload(value, origin);
+            else if (key == "variant")
+                s.variantOverrides(value);
+            else {
+                SimConfig scratch;
+                ConfigRegistry::apply(scratch, key, value);
+            }
+        };
+        for (const std::string &prefix : report_prefixes)
+            s.reports_.push_back(
+                parseReport(kv, prefix, origin, axes, check_value));
     }
 
     for (const std::string &key : kv.unusedKeys())
@@ -492,8 +520,8 @@ Scenario::buildPoint(
         p.label = name_;
 
     // Inter-cluster sharing runs collect their Fig-3 buckets through
-    // a post hook that closes the final tracker window (mirrors
-    // bench/fig03_intercluster_locality.cc).
+    // a post hook that closes the final tracker window; without it
+    // collect() reads the buckets mid-window.
     if (cfg.trackSharing) {
         const Cycle flush_at = cfg.maxCycles + 1000;
         p.post = [flush_at](GpuSystem &gpu, RunResult &r) {
@@ -546,7 +574,7 @@ Scenario::expandGrid(const ScenarioGrid &grid,
                                  std::move(coords)));
 
         // Odometer increment, last axis fastest: the first axis in
-        // the file varies slowest, like nested bench loops.
+        // the file varies slowest, like nested loops.
         std::size_t a = axes.size();
         while (a > 0) {
             if (++idx[a - 1] < axes[a - 1].values.size())
@@ -680,6 +708,8 @@ Scenario::dumpText() const
         dumpAxes(os, g.axes, "  ");
         os << "}\n";
     }
+    for (const ReportSpec &r : reports_)
+        os << dumpReport(r);
     return os.str();
 }
 

@@ -5,11 +5,12 @@
  * A Scenario is the in-memory form of a `.scn` file: SimConfig
  * overrides, one or more application workloads (Table-2 benchmarks,
  * synthetic pattern generators, or recorded traces), named variant
- * override sets, and sweep axes. expand() turns it into the cartesian
- * sweep grid -- a vector of SweepPoints ready for SweepRunner -- with
- * per-point axis coordinates for the CSV/JSON emitters, so every
- * `bench/fig*.cc` experiment is reproducible from a checked-in file
- * (see scenarios/) and new experiments need no C++ driver at all.
+ * override sets, sweep axes and figure reports. expand() turns it
+ * into the cartesian sweep grid -- a vector of SweepPoints ready for
+ * SweepRunner -- with per-point axis coordinates for the CSV/JSON
+ * emitters and the `report { }` tables (scenario/report.hh), so every
+ * paper figure is a checked-in file (see scenarios/) and new
+ * experiments need no C++ driver at all.
  */
 
 #ifndef AMSC_SCENARIO_SCENARIO_HH
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/kvargs.hh"
+#include "scenario/report.hh"
 #include "sim/sweep.hh"
 #include "workloads/trace_gen.hh"
 
@@ -105,6 +107,9 @@ class Scenario
     /** Quarter-length smoke runs (max_cycles/4, profile_len/4). */
     void setSmoke(bool smoke) { smoke_ = smoke; }
 
+    /** The `report { }` blocks, file order. */
+    const std::vector<ReportSpec> &reports() const { return reports_; }
+
     /** Expand every grid into ordered, ready-to-run sweep points. */
     std::vector<ExpandedPoint> expand() const;
 
@@ -134,7 +139,11 @@ class Scenario
     std::vector<std::pair<std::string, KvPairs>> variants_;
     std::vector<SweepAxis> axes_;    ///< scenario-level axes
     std::vector<ScenarioGrid> grids_; ///< empty = one implicit grid
+    std::vector<ReportSpec> reports_;
 };
+
+/** The `app { pattern = }` name of a synthetic access pattern. */
+const char *patternName(AccessPattern p);
 
 /** The setup hook of an `app { replay = FILE }` point. */
 std::function<void(GpuSystem &)> replaySetup(const std::string &path);

@@ -77,6 +77,32 @@ appKeys()
 }
 
 const std::vector<SchemaKey> &
+reportKeys()
+{
+    static const std::vector<SchemaKey> keys = {
+        {"metric",
+         "Comma-separated metrics, one value per point each: a numeric "
+         "emitted column (ipc, llc_read_miss_rate, ...), a sum "
+         "`a + b`, a quotient `x / y` (0 where y is 0), or `stp`: the "
+         "sum over apps of app_ipc over that app's IPC at its "
+         "single-app point."},
+        {"rows",
+         "Row axes, or `class` (the workload's Table-2 class)."},
+        {"columns",
+         "One column axis (default: one column per metric)."},
+        {"baseline",
+         "`axis=value[, ...]`: each point is divided by the point at "
+         "these coordinates before any folding."},
+        {"mean",
+         "harmonic or arithmetic: folds every axis the table does not "
+         "show and adds one summary row per section."},
+        {"group", "An axis or `class`: one table section per value."},
+        {"paper", "One reference line printed under the tables."},
+    };
+    return keys;
+}
+
+const std::vector<SchemaKey> &
 axisKeys()
 {
     static const std::vector<SchemaKey> keys = {
@@ -169,6 +195,12 @@ suggestScenarioKey(const std::string &flat_key)
         if (i >= parts.size())
             return prefix + "workload";
         return prefix + suggestIn(leafOf(), appKeys(), false);
+    }
+    if (parts[i] == "report") {
+        eat(i + 1 < parts.size() && isIndex(parts[i + 1]) ? 2 : 1);
+        if (i >= parts.size())
+            return prefix + "metric";
+        return prefix + suggestIn(leafOf(), reportKeys(), false);
     }
     if (parts[i] == "variant" && i + 2 < parts.size()) {
         eat(2); // "variant", "<name>"
@@ -300,6 +332,13 @@ renderConfigMarkdown()
           "  workload = LUD, SP, AN  # first axis varies slowest\n"
           "  llc_policy = shared, private, adaptive\n"
           "}\n"
+          "report {\n"
+          "  metric = ipc\n"
+          "  rows = workload\n"
+          "  columns = llc_policy\n"
+          "  baseline = llc_policy=shared\n"
+          "  mean = harmonic\n"
+          "}\n"
           "```\n"
           "\n"
           "Blocks flatten to dotted keys (`config.max_cycles`), so "
@@ -318,12 +357,28 @@ renderConfigMarkdown()
           "nearest valid\n"
           "spelling.\n"
           "\n"
+          "Repeated `report { }` blocks are the figure tables: `amsc "
+          "run` prints\n"
+          "them (format=table) in place of the per-point table, and "
+          "every paper\n"
+          "figure's scenario carries them, so `amsc run\n"
+          "scenarios/fig11_performance.scn` prints Fig 11. A grid that "
+          "cannot fill\n"
+          "a report -- say `sweep.llc_policy=adaptive` dropped its "
+          "baseline -- gets\n"
+          "one stderr note and the per-point table, decided before any "
+          "point runs.\n"
+          "Reports never change CSV or JSON output.\n"
+          "\n"
           "### Scenario-level keys\n"
           "\n";
     renderSchemaTable(os, scenarioKeys());
     os << "### `app { }` block keys\n"
           "\n";
     renderSchemaTable(os, appKeys());
+    os << "### `report { }` block keys\n"
+          "\n";
+    renderSchemaTable(os, reportKeys());
     os << "### Sweep axes\n"
           "\n"
           "Any SimConfig key above can be an axis "

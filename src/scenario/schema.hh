@@ -7,8 +7,9 @@
  * A scenario file has scenario-level keys (name, workload, ...),
  * `config { }` blocks of SimConfig registry keys, `app { }` blocks
  * describing per-application workloads, named `variant.<v> { }`
- * override sets, `sweep { }` axes and optional `grid { }` sub-grids
- * (see docs/configuration.md for the full grammar). The schema is
+ * override sets, `sweep { }` axes, optional `grid { }` sub-grids and
+ * `report { }` figure tables (see docs/configuration.md for the full
+ * grammar). The schema is
  * data, so `amsc describe` and the unknown-key error paths stay
  * mechanically in sync with what the parser accepts.
  */
@@ -34,6 +35,9 @@ const std::vector<SchemaKey> &scenarioKeys();
 
 /** Keys accepted inside `app { }` blocks. */
 const std::vector<SchemaKey> &appKeys();
+
+/** Keys accepted inside `report { }` blocks (scenario/report.hh). */
+const std::vector<SchemaKey> &reportKeys();
 
 /** Keys accepted as sweep axes besides SimConfig registry keys. */
 const std::vector<SchemaKey> &axisKeys();

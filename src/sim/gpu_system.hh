@@ -5,7 +5,7 @@
  * GpuSystem wires the subsystems per the paper's baseline (Table 1,
  * Fig 6), owns the cycle loop, manages kernel launches per
  * application (including the multi-program SM partitioning of Fig 9)
- * and assembles the run metrics the benches report.
+ * and assembles the run metrics the scenarios emit and report.
  *
  * The cycle core is event-assisted: replies are pushed from the NoC
  * straight into the SMs (no per-SM polling), kernel management runs
@@ -155,7 +155,7 @@ class GpuSystem
     /** Assemble metrics for the work so far. */
     RunResult collect() const;
 
-    // ---- component access (tests, benches) ------------------------
+    // ---- component access (tests, post hooks) ---------------------
     const SimConfig &config() const { return config_; }
     Network &network() { return *net_; }
     LlcSystem &llc() { return *llc_; }

@@ -776,66 +776,4 @@ SimConfig::validate() const
     buildBypassAppMask(); // throws on malformed llc_bypass_apps
 }
 
-void
-SimConfig::print(std::ostream &os) const
-{
-    os << "==== amsc configuration (paper Table 1) ====\n";
-    os << "SMs                    " << numSms << " x 1400 MHz, "
-       << numClusters << " clusters of " << smsPerCluster() << "\n";
-    os << "Schedulers/SM          " << numSchedulers << " (GTO)\n";
-    os << "Resident warps/SM      " << maxResidentWarps << "\n";
-    os << "L1D/SM                 " << l1SizeBytes / 1024 << " KB, "
-       << l1Assoc << "-way, LRU, " << lineBytes << " B lines, "
-       << l1Latency << "-cycle\n";
-    os << "Memory controllers     " << numMcs << "\n";
-    os << "LLC slices/MC          " << slicesPerMc << " x "
-       << llcSliceBytes / 1024 << " KB, " << llcAssoc << "-way, "
-       << replPolicyName(llcRepl);
-    if (llcBypass != BypassPolicy::None)
-        os << " + " << bypassPolicyName(llcBypass) << " bypass";
-    os << "\n";
-    os << "LLC total              "
-       << numSlices() * llcSliceBytes / 1024 / 1024 << " MB, "
-       << llcHitLatency << "-cycle slice latency\n";
-    os << "LLC policy             " << llcPolicyName(llcPolicy) << "\n";
-    os << "NoC                    " << topologyName(topology) << ", "
-       << channelWidthBytes << " B channels, 1 VC x " << vcDepthFlits
-       << " flits, 4-stage routers, iSLIP\n";
-    os << "DRAM                   " << memBackendName(memBackend)
-       << ", " << memSchedName(memSched) << ", " << banksPerMc
-       << " banks/MC";
-    if (dramBankGroups > 1)
-        os << " (" << dramBankGroups << " groups)";
-    os << ", " << dramBusBytesPerCycle << " B/cycle/MC bus\n";
-    os << "DRAM timing            tCL=" << dramTimings.tCL << " tCWL="
-       << dramTimings.tCWL << " tRP=" << dramTimings.tRP << " tRC="
-       << dramTimings.tRC << " tRAS=" << dramTimings.tRAS << " tRCD="
-       << dramTimings.tRCD << " tRRD=" << dramTimings.tRRD << " tFAW="
-       << dramTimings.tFAW << " tCCD=" << dramTimings.tCCD;
-    if (dramBankGroups > 1)
-        os << " tCCD_L=" << dramTimings.tCCD_L << " tCCD_S="
-           << dramTimings.tCCD_S;
-    os << " tWR=" << dramTimings.tWR << " tWTR=" << dramTimings.tWTR
-       << " tREFI=" << dramTimings.tREFI << " tRFC="
-       << dramTimings.tRFC << "\n";
-    os << "Address mapping        "
-       << AddressMapping::schemeName(mappingScheme) << "\n";
-    os << "CTA scheduling         " << ctaPolicyName(ctaPolicy) << "\n";
-    if (!traceRecordPath.empty())
-        os << "Trace recording        " << traceRecordPath << "\n";
-    if (timeline) {
-        os << "Timeline               "
-           << (timelineOut.empty() ? "null sink" : timelineOut)
-           << ", period " << statsStreamPeriod << "\n";
-    }
-    if (!statsStreamOut.empty()) {
-        os << "Stats stream           " << statsStreamOut
-           << ", every " << statsStreamPeriod << " cycles\n";
-    }
-    if (checkpointEvery != 0) {
-        os << "Checkpoints            " << checkpointPath
-           << ", every " << checkpointEvery << " cycles\n";
-    }
-}
-
 } // namespace amsc

@@ -3,7 +3,7 @@
  * Whole-system configuration (paper Table 1 defaults).
  *
  * SimConfig aggregates every structural knob of the simulated GPU and
- * provides key=value overrides so benches and examples can sweep the
+ * provides key=value overrides so scenarios and examples can sweep the
  * paper's sensitivity dimensions (address mapping, channel width, SM
  * count, L1 size, CTA scheduling, LLC policy, NoC topology).
  */
@@ -12,7 +12,6 @@
 #define AMSC_SIM_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -252,9 +251,6 @@ struct SimConfig
      * callers can layer their own keys on top.
      */
     void applyKv(const KvArgs &args);
-
-    /** Render the configuration, Table-1 style. */
-    void print(std::ostream &os) const;
 
     /** Validate cross-parameter invariants; fatal() on violation. */
     void validate() const;

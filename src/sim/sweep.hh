@@ -2,7 +2,7 @@
  * @file
  * Multi-threaded sweep engine for configuration/workload grids.
  *
- * Every figure and ablation bench evaluates many independent
+ * Every figure and ablation scenario evaluates many independent
  * (SimConfig, workload) points; SweepRunner executes them on a
  * thread pool with deterministic, order-stable result collection:
  * point i's result lands in slot i no matter which thread ran it or

@@ -16,6 +16,7 @@
 #include "cache/tag_array.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
+#include "sim/sim_config.hh"
 
 namespace amsc
 {
@@ -546,6 +547,12 @@ TEST(Atd, HardwareCostMatchesPaperScale)
     Atd atd(p);
     // Paper: 432 bytes for the ATD.
     EXPECT_EQ(atd.hardwareCostBytes(19), 432u);
+
+    // Paper: 448 bytes of reconfiguration hardware in total -- the
+    // default config's ATD plus one 16-bit LSP counter per MC.
+    const SimConfig cfg;
+    const Atd sized(cfg.buildLlcParams().profiler.atd);
+    EXPECT_EQ(sized.hardwareCostBytes() + cfg.numMcs * 2u, 448u);
 }
 
 TEST(Atd, LruReplacementWithinSampledSet)

@@ -6,7 +6,11 @@
  * _Exit(137) right after the journal header is published), resumed
  * with `amsc resume`, and folded with `amsc merge`; the merged CSV
  * must be byte-identical to one uninterrupted single-process sweep --
- * at shard counts 1 and 4, and after a torn-tail truncation.
+ * at shard counts 1 and 4, and after a torn-tail truncation. The
+ * same binary's error paths follow: a bad --journal path or format=
+ * fails with exit 1 before any point runs, and a figure scenario
+ * prints its report (or, when the grid cannot fill it, a note and
+ * the per-point table).
  *
  * Runs the binary from the build directory (ctest's CWD); skips when
  * ./amsc is missing (e.g. a filtered build).
@@ -67,6 +71,21 @@ readFile(const std::string &path)
     std::ostringstream ss;
     ss << is.rdbuf();
     return ss.str();
+}
+
+/**
+ * Run @p cmd through the shell with stdout and stderr captured into
+ * @p out and @p err; returns the exit code.
+ */
+int
+runCapture(const std::string &cmd, std::string &out, std::string &err)
+{
+    const std::string dir = tmpDir("capture");
+    const int rc = runCmd(cmd + " >" + dir + "/out.txt 2>" + dir +
+                          "/err.txt");
+    out = readFile(dir + "/out.txt");
+    err = readFile(dir + "/err.txt");
+    return rc;
 }
 
 /** amsc invocation with the shared scenario + overrides. */
@@ -192,6 +211,85 @@ TEST_F(CrashRecovery, MergeRejectsStaleJournal)
         runCmd(amsc("merge", "max_cycles=123 --journal=" + dir +
                         " format=csv out=" + dir + "/m.csv")),
         0);
+}
+
+class AmscCli : public CrashRecovery
+{
+};
+
+TEST_F(AmscCli, BadJournalPathIsAnIoErrorNotAnAbort)
+{
+    // docs/robustness.md: an I/O failure is `amsc: error: ...` and
+    // exit 1, naming the path -- not an uncaught filesystem_error.
+    const std::string dir = tmpDir("badjournal");
+    std::string out, err;
+    const std::string missing = dir + "/missing";
+    EXPECT_EQ(runCapture("./amsc merge " + kScenario +
+                             " --smoke --journal=" + missing,
+                         out, err),
+              1)
+        << err;
+    EXPECT_NE(err.find("amsc: error:"), std::string::npos) << err;
+    EXPECT_NE(err.find(missing), std::string::npos) << err;
+
+    std::ofstream(dir + "/file") << "not a directory\n";
+    const std::string under_file = dir + "/file/journal";
+    EXPECT_EQ(runCapture("./amsc sweep " + kScenario +
+                             " --smoke --journal=" + under_file,
+                         out, err),
+              1)
+        << err;
+    EXPECT_NE(err.find("amsc: error:"), std::string::npos) << err;
+    EXPECT_NE(err.find(under_file), std::string::npos) << err;
+}
+
+TEST_F(AmscCli, BadFormatFailsBeforeAnyPointRuns)
+{
+    const std::string dir = tmpDir("format");
+    ASSERT_EQ(runCmd(amsc("sweep", "--journal=" + dir)), 0);
+    for (const std::string verb : {"run", "sweep", "resume", "merge"}) {
+        SCOPED_TRACE(verb);
+        std::string out, err;
+        EXPECT_EQ(runCapture("./amsc " + verb + " " + kScenario +
+                                 " --smoke format=xml" +
+                                 (verb == "resume" || verb == "merge"
+                                      ? " --journal=" + dir
+                                      : ""),
+                             out, err),
+                  1);
+        EXPECT_NE(err.find("unknown format 'xml'"), std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("points done"), std::string::npos) << err;
+        EXPECT_EQ(out, "");
+    }
+}
+
+TEST_F(AmscCli, FigureScenarioPrintsItsReport)
+{
+    const std::string fig11 =
+        std::string(AMSC_SOURCE_DIR) + "/scenarios/fig11_performance.scn";
+    std::string out, err;
+    ASSERT_EQ(runCapture("./amsc run " + fig11 +
+                             " sweep.workload=AN max_cycles=2000",
+                         out, err),
+              0)
+        << err;
+    EXPECT_EQ(out.find("## fig11_performance: ipc relative to "
+                       "llc_policy=shared, harmonic mean"),
+              0u)
+        << out;
+    EXPECT_NE(out.find("| AN | 1.00000 | "), std::string::npos) << out;
+
+    // The timeline example's narrowed grid keeps no shared point: one
+    // note, then the per-point table.
+    ASSERT_EQ(runCapture("./amsc run " + fig11 +
+                             " sweep.workload=AN sweep.llc_policy=adaptive"
+                             " max_cycles=2000",
+                         out, err),
+              0)
+        << err;
+    EXPECT_NE(err.find("cannot be filled"), std::string::npos) << err;
+    EXPECT_EQ(out.find("| point | IPC |"), 0u) << out;
 }
 
 #endif // !_WIN32

@@ -3,9 +3,11 @@
  * Scenario-engine tests: the nested KvArgs dialect, parsing and
  * round-tripping of every shipped `.scn` file, sweep-grid expansion
  * (counts, axis ordering, variants, multi-grid, multi-program
- * policies), bit-exact equivalence of the fig11 scenario with the
- * hand-written bench grid, emitter golden files, and unknown-key
- * error messages naming the nearest valid key.
+ * policies), bit-exact equivalence of the fig11 scenario with a
+ * hand-built reference grid, the `report { }` figure tables (parse
+ * errors, round trip, fill checks, recomputation on real runs),
+ * emitter golden files, and unknown-key error messages naming the
+ * nearest valid key.
  *
  * Set AMSC_UPDATE_GOLDEN=1 to rewrite tests/golden/ from the current
  * emitters.
@@ -23,7 +25,10 @@
 #include <sstream>
 
 #include "common/kvargs.hh"
+#include "common/stats.hh"
+#include "common/strutil.hh"
 #include "scenario/emit.hh"
+#include "scenario/report.hh"
 #include "scenario/scenario.hh"
 #include "scenario/schema.hh"
 #include "sim/sweep.hh"
@@ -172,6 +177,14 @@ TEST(Scenario, ShippedFilesParseExpandAndRoundTrip)
             Scenario::parseScnText(dumped, path + "<dump>"),
             path + "<dump>");
         EXPECT_EQ(dumped, reparsed.dumpText());
+        // Reports survive the dump: as many as the file declares, and
+        // equal after the reparse.
+        std::size_t blocks = 0;
+        std::istringstream lines(readFile(path));
+        for (std::string line; std::getline(lines, line);)
+            blocks += trim(line) == "report {";
+        EXPECT_EQ(s.reports().size(), blocks);
+        EXPECT_TRUE(s.reports() == reparsed.reports());
         const auto repoints = reparsed.expand();
         ASSERT_EQ(points.size(), repoints.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
@@ -183,31 +196,52 @@ TEST(Scenario, ShippedFilesParseExpandAndRoundTrip)
     }
 }
 
-TEST(Scenario, EveryFigureBenchHasAScenario)
+TEST(Scenario, EveryFigureScenarioHasAReport)
 {
-    std::vector<std::string> figs;
-    for (const auto &e : std::filesystem::directory_iterator(
-             kSourceDir + "/bench")) {
-        const std::string stem = e.path().stem().string();
-        if (stem.rfind("fig", 0) == 0)
-            figs.push_back(stem);
+    // Every figure and ablation scenario prints its table from its own
+    // grid: each carries a report, and the report fills the expanded
+    // grid (fabricated results, so no point runs).
+    std::size_t figures = 0;
+    for (const std::string &path : shippedScenarios()) {
+        const std::string stem = std::filesystem::path(path).stem();
+        const bool figure = stem.rfind("fig", 0) == 0 ||
+            stem.rfind("ablation", 0) == 0 || stem == "serving_llm";
+        const Scenario s = Scenario::load(path);
+        if (!figure && s.reports().empty())
+            continue;
+        SCOPED_TRACE(path);
+        figures += figure;
+        EXPECT_FALSE(s.reports().empty());
+        std::vector<EmitPoint> points;
+        std::vector<RunResult> results;
+        for (const ExpandedPoint &ep : s.expand()) {
+            points.push_back({ep.point.label, ep.coords});
+            RunResult r;
+            r.cycles = 60000;
+            r.instructions = 1000000 + 7 * points.size();
+            r.ipc = static_cast<double>(r.instructions) / 60000.0;
+            r.appIpc.assign(std::max<std::size_t>(1, ep.point.apps.size()),
+                            r.ipc / 2.0);
+            r.llcReadMissRate = 0.25;
+            r.llcResponseRate = 2.0;
+            results.push_back(r);
+        }
+        EXPECT_EQ(scenario::reportGap(s.reports(), points), "");
+        const std::string text = scenario::renderReports(
+            s.name(), s.reports(), points, results);
+        EXPECT_EQ(text.find("## " + s.name() + ": "), 0u);
     }
-    ASSERT_GE(figs.size(), 9u);
-    for (const std::string &fig : figs) {
-        EXPECT_TRUE(std::filesystem::exists(
-            kSourceDir + "/scenarios/" + fig + ".scn"))
-            << "missing scenarios/" << fig << ".scn";
-    }
+    EXPECT_EQ(figures, 13u);
 }
 
-// ------------------------------------------- fig11 == bench grid
+// ------------------------------------------- fig11 == reference grid
 
 namespace
 {
 
-/** bench_util.hh benchConfig() with no overrides. */
+/** The figure scenarios' scaled run: 60K cycles, 5K profile, 50K epoch. */
 SimConfig
-fig11BenchConfig()
+fig11Config()
 {
     SimConfig cfg;
     cfg.maxCycles = 60000;
@@ -217,9 +251,12 @@ fig11BenchConfig()
     return cfg;
 }
 
-/** The bench/fig11_performance.cc grid, verbatim. */
+/**
+ * The fig11 grid built by hand from the suite API: workloads in class
+ * order, each under shared, private and adaptive.
+ */
 std::vector<SweepPoint>
-fig11BenchPoints(const SimConfig &cfg)
+fig11ReferencePoints(const SimConfig &cfg)
 {
     std::vector<SweepPoint> points;
     for (const WorkloadClass klass :
@@ -249,23 +286,23 @@ TEST(Scenario, Fig11GridMatchesBenchPointForPoint)
     const Scenario s = Scenario::load(
         kSourceDir + "/scenarios/fig11_performance.scn");
     const auto expanded = s.expand();
-    const auto bench = fig11BenchPoints(fig11BenchConfig());
-    ASSERT_EQ(expanded.size(), bench.size());
+    const auto ref = fig11ReferencePoints(fig11Config());
+    ASSERT_EQ(expanded.size(), ref.size());
     ASSERT_EQ(expanded.size(), 51u);
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        EXPECT_EQ(expanded[i].point.label, bench[i].label);
-        expectSameConfig(expanded[i].point.cfg, bench[i].cfg,
-                         bench[i].label);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(expanded[i].point.label, ref[i].label);
+        expectSameConfig(expanded[i].point.cfg, ref[i].cfg,
+                         ref[i].label);
         ASSERT_EQ(expanded[i].point.apps.size(), 1u);
         EXPECT_EQ(expanded[i].point.apps[0].abbr,
-                  bench[i].apps[0].abbr);
+                  ref[i].apps[0].abbr);
     }
 }
 
 TEST(Scenario, Fig11RunsBitIdenticalToBench)
 {
     // Short-horizon spot check that the scenario points don't just
-    // look like the bench's -- they *run* identically (the full
+    // look like the reference's -- they *run* identically (the full
     // identicalResults contract, every counter bit-exact).
     KvArgs file_kv = Scenario::parseScnFile(
         kSourceDir + "/scenarios/fig11_performance.scn");
@@ -276,19 +313,43 @@ TEST(Scenario, Fig11RunsBitIdenticalToBench)
         Scenario::fromKv(std::move(file_kv), "fig11<short>");
     const auto expanded = s.expand();
 
-    SimConfig cfg = fig11BenchConfig();
+    SimConfig cfg = fig11Config();
     cfg.maxCycles = 2500;
     cfg.profileLen = 600;
     cfg.epochLen = 2000;
-    const auto bench = fig11BenchPoints(cfg);
-    ASSERT_EQ(expanded.size(), bench.size());
+    const auto ref = fig11ReferencePoints(cfg);
+    ASSERT_EQ(expanded.size(), ref.size());
     // One workload per class, all three policies each.
     for (const std::size_t i : {0u, 1u, 2u, 24u, 25u, 26u, 48u, 49u,
                                 50u}) {
-        SCOPED_TRACE(bench[i].label);
+        SCOPED_TRACE(ref[i].label);
         const RunResult a = SweepRunner::runPoint(expanded[i].point);
-        const RunResult b = SweepRunner::runPoint(bench[i]);
+        const RunResult b = SweepRunner::runPoint(ref[i]);
         EXPECT_TRUE(identicalResults(a, b));
+    }
+}
+
+TEST(Scenario, Fig15PairsAreTheSuitesThirtyPairs)
+{
+    // The fig15 grid lists its pairs by hand; the suite's
+    // multiprogramPairs() is the reference, in order, each pair under
+    // shared+shared then shared+private after the single-app runs.
+    const auto expanded = Scenario::load(
+        kSourceDir + "/scenarios/fig15_multiprogram.scn").expand();
+    const auto pairs = WorkloadSuite::multiprogramPairs();
+    ASSERT_EQ(expanded.size(), 11u + 2 * pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        for (std::size_t k = 0; k < 2; ++k) {
+            const SweepPoint &p = expanded[11 + 2 * i + k].point;
+            ASSERT_EQ(p.apps.size(), 2u);
+            EXPECT_EQ(p.apps[0].abbr, pairs[i].first.abbr);
+            EXPECT_EQ(p.apps[1].abbr, pairs[i].second.abbr);
+            EXPECT_EQ(p.cfg.llcPolicy, LlcPolicy::ForceShared);
+            EXPECT_EQ(p.cfg.extraAppPolicies,
+                      std::vector<LlcPolicy>{k == 0
+                                                 ? LlcPolicy::ForceShared
+                                                 : LlcPolicy::ForcePrivate});
+        }
     }
 }
 
@@ -558,6 +619,268 @@ TEST(ScenarioErrors, UnknownKeysNameTheNearestValidKey)
         Scenario::fromKv(Scenario::parseScnText("grid = x\n"),
                          "f.scn"),
         ConfigError, "grid.sweep");
+}
+
+// ------------------------------------------- report { } blocks
+
+namespace
+{
+
+/** fromKv over @p text, for the report error checks. */
+Scenario
+scenarioOf(const std::string &text)
+{
+    return Scenario::fromKv(Scenario::parseScnText(text, "r.scn"),
+                            "r.scn");
+}
+
+const std::string kReportGrid = "workload = VA\n"
+                                "variant.small {\n"
+                                "  num_sms = 40\n"
+                                "}\n"
+                                "sweep {\n"
+                                "  variant = small\n"
+                                "  llc_policy = shared, private\n"
+                                "}\n";
+
+/** kReportGrid plus one report block of @p body. */
+std::string
+withReport(const std::string &body)
+{
+    return kReportGrid + "report {\n" + body + "}\n";
+}
+
+/** The scaled-down geometry that keeps the recompute tests fast. */
+void
+scaleDown(KvArgs &kv, const std::string &max_cycles)
+{
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"num_sms", "16"},
+             {"num_clusters", "4"},
+             {"num_mcs", "4"},
+             {"slices_per_mc", "4"},
+             {"max_cycles", max_cycles},
+             {"profile_len", "500"},
+             {"epoch_len", "2000"}})
+        Scenario::applyOverride(kv, key, value);
+}
+
+/** One table row as renderReport() prints it. */
+std::string
+tableRow(const std::string &label, const std::vector<double> &values)
+{
+    std::string row = "| " + label;
+    for (const double v : values)
+        row += " | " + strfmt("%.5f", v);
+    return row + " |\n";
+}
+
+} // namespace
+
+TEST(ReportErrors, MalformedBlocksFailAtLoad)
+{
+    // The well-formed block loads.
+    EXPECT_EQ(scenarioOf(withReport("  metric = ipc\n"
+                                    "  rows = llc_policy\n"))
+                  .reports()
+                  .size(),
+              1u);
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipc\n"
+                                                "  rows = llc_policy\n"
+                                                "  metrc = ipc\n")),
+                          ConfigError, "'report.metric'");
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipcc\n"
+                                                "  rows = llc_policy\n")),
+                          ConfigError, "nearest is 'ipc'");
+    // Non-numeric columns are not metrics.
+    AMSC_EXPECT_THROW_MSG(
+        scenarioOf(withReport("  metric = final_llc_mode\n"
+                              "  rows = llc_policy\n")),
+        ConfigError, "unknown report metric 'final_llc_mode'");
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipc / \n"
+                                                "  rows = llc_policy\n")),
+                          ConfigError, "empty report metric");
+    AMSC_EXPECT_THROW_MSG(
+        scenarioOf(withReport("  metric = ipc / cycles / cycles\n"
+                              "  rows = llc_policy\n")),
+        ConfigError, "malformed report metric");
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipc\n"
+                                                "  rows = llc_policy\n"
+                                                "  mean = geometric\n")),
+                          ConfigError, "unknown mean 'geometric'");
+    // A baseline value its axis cannot take.
+    AMSC_EXPECT_THROW_MSG(
+        scenarioOf(withReport("  metric = ipc\n"
+                              "  rows = variant\n"
+                              "  columns = llc_policy\n"
+                              "  baseline = llc_policy=sharde\n")),
+        ConfigError, "baseline value 'sharde' is not on axis");
+    AMSC_EXPECT_THROW_MSG(
+        scenarioOf(withReport("  metric = ipc\n"
+                              "  rows = llc_policy\n"
+                              "  baseline = variant=big\n")),
+        ConfigError, "nearest is 'small'");
+    AMSC_EXPECT_THROW_MSG(
+        scenarioOf(withReport("  metric = ipc\n"
+                              "  rows = llc_policy\n"
+                              "  baseline = llc_policy\n")),
+        ConfigError, "not axis=value");
+    // Axes must be sweep axes of the scenario, shown once.
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipc\n"
+                                                "  rows = llc_polcy\n")),
+                          ConfigError, "nearest is 'llc_policy'");
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipc\n"
+                                                "  rows = llc_policy\n"
+                                                "  columns = llc_policy\n")),
+                          ConfigError, "shown twice");
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  metric = ipc\n"
+                                                "  rows = class\n")),
+                          ConfigError, "class needs a workload");
+    AMSC_EXPECT_THROW_MSG(scenarioOf(withReport("  rows = llc_policy\n")),
+                          ConfigError, "needs metric");
+}
+
+TEST(Report, DumpTextRoundTripsReportBlocks)
+{
+    const Scenario s = scenarioOf(
+        withReport("  metric = ipc, llc_bypasses / llc_accesses, "
+                   "llc_to_private + llc_to_shared / cycles\n"
+                   "  rows = variant\n"
+                   "  columns = llc_policy\n"
+                   "  baseline = llc_policy=shared\n"
+                   "  mean = harmonic\n"
+                   "  paper = \"+28.1% avg; up to 38.1%\"\n") +
+        "report {\n  metric = stp\n  rows = llc_policy\n}\n");
+    ASSERT_EQ(s.reports().size(), 2u);
+    const scenario::ReportSpec &r = s.reports()[0];
+    ASSERT_EQ(r.metrics.size(), 3u);
+    EXPECT_EQ(r.metrics[1].num, std::vector<std::string>{"llc_bypasses"});
+    EXPECT_EQ(r.metrics[1].den, std::vector<std::string>{"llc_accesses"});
+    EXPECT_EQ(r.metrics[2].num,
+              (std::vector<std::string>{"llc_to_private",
+                                        "llc_to_shared"}));
+    EXPECT_EQ(r.paper, "+28.1% avg; up to 38.1%");
+
+    const Scenario reparsed = Scenario::fromKv(
+        Scenario::parseScnText(s.dumpText()), "r.scn<dump>");
+    EXPECT_TRUE(s.reports() == reparsed.reports());
+    EXPECT_EQ(s.dumpText(), reparsed.dumpText());
+    // A scenario without reports dumps no report block.
+    EXPECT_EQ(scenarioOf(kReportGrid).dumpText().find("report"),
+              std::string::npos);
+}
+
+TEST(Report, Fig11ClassMeansAreHarmonicMeansOfRatios)
+{
+    KvArgs kv = Scenario::parseScnFile(
+        kSourceDir + "/scenarios/fig11_performance.scn");
+    scaleDown(kv, "3000");
+    Scenario::applyOverride(kv, "sweep.workload", "LUD, GEMM, AN, RN, VA");
+    const Scenario s = Scenario::fromKv(std::move(kv), "fig11<small>");
+    const auto expanded = s.expand();
+    std::vector<SweepPoint> points;
+    for (const ExpandedPoint &ep : expanded)
+        points.push_back(ep.point);
+    const std::vector<RunResult> results = SweepRunner(2).run(points);
+    const auto epts = scenario::emitPoints(expanded);
+    ASSERT_EQ(scenario::reportGap(s.reports(), epts), "");
+    const std::string text =
+        scenario::renderReports(s.name(), s.reports(), epts, results);
+
+    // Points are workload-major, shared/private/adaptive.
+    const std::vector<std::pair<std::string, std::vector<std::size_t>>>
+        classes = {{"shared-friendly", {0, 1}},
+                   {"private-friendly", {2, 3}},
+                   {"neutral", {4}}};
+    std::size_t from = 0;
+    for (const auto &[klass, workloads] : classes) {
+        SCOPED_TRACE(klass);
+        from = text.find("### class = " + klass, from);
+        ASSERT_NE(from, std::string::npos) << text;
+        std::vector<double> priv, adapt;
+        for (const std::size_t w : workloads) {
+            const double shared = results[3 * w].ipc;
+            priv.push_back(results[3 * w + 1].ipc / shared);
+            adapt.push_back(results[3 * w + 2].ipc / shared);
+            EXPECT_NE(text.find(tableRow(expanded[3 * w].coords[0].second,
+                                         {1.0, priv.back(),
+                                          adapt.back()}),
+                                from),
+                      std::string::npos)
+                << text;
+        }
+        const std::string summary =
+            tableRow("harmonic mean",
+                     {1.0, harmonicMean(priv), harmonicMean(adapt)});
+        EXPECT_NE(text.find(summary, from), std::string::npos)
+            << summary << text;
+    }
+}
+
+TEST(Report, Fig15StpIsAppIpcOverSingleAppIpc)
+{
+    KvArgs kv = Scenario::parseScnFile(
+        kSourceDir + "/scenarios/fig15_multiprogram.scn");
+    scaleDown(kv, "3000");
+    Scenario::applyOverride(kv, "grid.0.sweep.workload", "LUD, AN, RN");
+    Scenario::applyOverride(kv, "grid.1.sweep.workload",
+                            "LUD+AN, LUD+RN");
+    const Scenario s = Scenario::fromKv(std::move(kv), "fig15<small>");
+    const auto expanded = s.expand();
+    ASSERT_EQ(expanded.size(), 7u);
+    std::vector<SweepPoint> points;
+    for (const ExpandedPoint &ep : expanded)
+        points.push_back(ep.point);
+    const std::vector<RunResult> results = SweepRunner(2).run(points);
+    const auto epts = scenario::emitPoints(expanded);
+    ASSERT_EQ(scenario::reportGap(s.reports(), epts), "");
+    const std::string text =
+        scenario::renderReports(s.name(), s.reports(), epts, results);
+
+    // Grid 1: LUD, AN, RN alone; grid 2: each pair under shared+shared
+    // then shared+private.
+    const auto stp = [&](std::size_t i, std::size_t other) {
+        return results[i].appIpc[0] / results[0].ipc +
+            results[i].appIpc[1] / results[other].ipc;
+    };
+    const double an_ss = stp(3, 1), an_sp = stp(4, 1);
+    const double rn_ss = stp(5, 2), rn_sp = stp(6, 2);
+    for (const std::string &row :
+         {tableRow("LUD+AN", {an_ss, an_sp}),
+          tableRow("LUD+RN", {rn_ss, rn_sp}),
+          tableRow("arithmetic mean",
+                   {mean({an_ss, rn_ss}), mean({an_sp, rn_sp})}),
+          tableRow("LUD+AN", {1.0, an_sp / an_ss}),
+          tableRow("arithmetic mean",
+                   {1.0, mean({an_sp / an_ss, rn_sp / rn_ss})})}) {
+        EXPECT_NE(text.find(row), std::string::npos) << row << text;
+    }
+}
+
+TEST(Report, GridWithoutTheBaselineTakesTheSkipPath)
+{
+    // README's timeline example narrows fig11 to adaptive points: no
+    // shared point is left to normalize by, so the grid cannot fill
+    // the report and amsc prints the per-point table instead.
+    KvArgs kv = Scenario::parseScnFile(
+        kSourceDir + "/scenarios/fig11_performance.scn");
+    Scenario::applyOverride(kv, "sweep.workload", "AN");
+    Scenario::applyOverride(kv, "sweep.llc_policy", "adaptive");
+    const Scenario s = Scenario::fromKv(std::move(kv), "fig11<AN>");
+    const std::string gap = scenario::reportGap(
+        s.reports(), scenario::emitPoints(s.expand()));
+    EXPECT_NE(gap.find("no baseline point llc_policy=shared"),
+              std::string::npos)
+        << gap;
+
+    // Points sharing a cell need a mean to fold them.
+    const Scenario unfolded = scenarioOf(
+        withReport("  metric = ipc\n  rows = variant\n"));
+    EXPECT_NE(scenario::reportGap(unfolded.reports(),
+                                  scenario::emitPoints(unfolded.expand()))
+                  .find("share a cell"),
+              std::string::npos);
 }
 
 // ------------------------------------------- emitter golden files

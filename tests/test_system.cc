@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "noc/network_factory.hh"
+#include "scenario/schema.hh"
 #include "sim/gpu_system.hh"
 #include "workloads/suite.hh"
 
@@ -110,16 +111,26 @@ TEST(SimConfig, ValidationCatchesCoDesignViolation)
     EXPECT_DEATH(cfg.validate(), "co-design");
 }
 
-TEST(SimConfig, PrintMentionsKeyParameters)
+TEST(SimConfig, DescribeShowsTableOneDefaults)
 {
-    SimConfig cfg;
-    std::ostringstream os;
-    cfg.print(os);
-    EXPECT_NE(os.str().find("80"), std::string::npos);
-    EXPECT_NE(os.str().find("gddr5"), std::string::npos);
-    EXPECT_NE(os.str().find("fr_fcfs"), std::string::npos);
-    EXPECT_NE(os.str().find("tREFI"), std::string::npos);
-    EXPECT_NE(os.str().find("iSLIP"), std::string::npos);
+    // `amsc describe` renders the key registry, the configuration's
+    // one printed view: the Table-1 parameters and their defaults.
+    const std::pair<const char *, std::string> defaults[] = {
+        {"num_sms", "80"},
+        {"noc", "hxbar"},
+        {"mem_backend", "gddr5"},
+        {"mem_sched", "fr_fcfs"},
+        {"dram_trefi", std::to_string(SimConfig{}.dramTimings.tREFI)},
+    };
+    for (const auto &[key, value] : defaults) {
+        EXPECT_NE(scenario::renderKeyDetail(key).find(
+                      std::string("default: ") + value),
+                  std::string::npos)
+            << key;
+        EXPECT_NE(scenario::renderKeyTable().find(key),
+                  std::string::npos)
+            << key;
+    }
 }
 
 // ----------------------------------------------------------- GpuSystem
@@ -462,8 +473,8 @@ TEST(SharingStats, BroadcastShowsInterClusterSharing)
     gpu.run();
     gpu.llc().sharingTracker().flush(cfg.maxCycles);
     // Multi-cluster sharing must dominate relative to the streaming
-    // baseline below (the full-scale Fig 3 shape is validated by
-    // bench/fig03).
+    // baseline below (`amsc run scenarios/fig03_intercluster_locality.scn`
+    // prints the full-scale Fig 3 shape).
     const double multi =
         gpu.llc().sharingTracker().bucketFraction(1) +
         gpu.llc().sharingTracker().bucketFraction(2) +

@@ -3,10 +3,12 @@
  * The unified amsc command-line interface.
  *
  *   amsc run <scenario.scn> [key=value ...] [--smoke] [--stats]
- *       Execute a scenario (its whole sweep grid) and print a
- *       summary table, or CSV/JSON with format=csv|json [out=FILE].
- *       --stats appends each point's full statistics tree to the
- *       table; trace_record=FILE captures a trace of every point.
+ *       Execute a scenario (its whole sweep grid) and print its
+ *       `report { }` tables -- a paper figure for every figure
+ *       scenario -- or a per-point summary table when it has none,
+ *       or CSV/JSON with format=csv|json [out=FILE]. --stats appends
+ *       each point's full statistics tree to the table;
+ *       trace_record=FILE captures a trace of every point.
  *
  *   amsc sweep <scenario.scn> [sweep.key=v1,v2 ...] [key=value ...]
  *       Like run, but defaults to CSV output and reports the grid
@@ -40,7 +42,8 @@
  *       difference, 2 if a differing recording hit max_cycles.
  *
  *   amsc list [workloads|scenarios [dir=DIR]]
- *       The Table-2 workload suite, or the .scn files of a directory.
+ *       The Table-2 workload suite with its synthetic stand-in
+ *       parameters, or the .scn files of a directory.
  *
  *   amsc describe [<key>] [--markdown]
  *       The complete SimConfig key registry; --markdown emits
@@ -180,21 +183,44 @@ pointsOf(const std::vector<ExpandedPoint> &expanded)
     return points;
 }
 
-/** Render results as format=table|csv|json. */
+/**
+ * Settle the output before any point runs: format= must be
+ * table|csv|json, and @return whether the table a run @p emits shows
+ * the scenario's reports -- false, after one stderr note, when the
+ * grid cannot fill them.
+ */
+bool
+planOutput(const std::string &format, bool emits, const Scenario &scn,
+           const std::vector<ExpandedPoint> &expanded)
+{
+    if (format != "table" && format != "csv" && format != "json")
+        fatal("unknown format '%s' (table|csv|json)", format.c_str());
+    if (!emits || format != "table" || scn.reports().empty())
+        return false;
+    const std::string gap = scenario::reportGap(
+        scn.reports(), scenario::emitPoints(expanded));
+    if (gap.empty())
+        return true;
+    std::fprintf(stderr, "amsc: %s: %s; printing the per-point table\n",
+                 scn.name().c_str(), gap.c_str());
+    return false;
+}
+
+/** Render results as format=table|csv|json (checked by planOutput). */
 std::string
-render(const std::string &format, const Scenario &scn,
+render(const std::string &format, bool reports, const Scenario &scn,
        const std::vector<ExpandedPoint> &expanded,
        const std::vector<RunResult> &results,
        const std::vector<std::string> &errors)
 {
     const auto epts = scenario::emitPoints(expanded);
-    if (format == "table")
-        return scenario::renderTable(epts, results);
     if (format == "csv")
         return scenario::emitCsv(epts, results, errors);
     if (format == "json")
         return scenario::emitJson(scn.name(), epts, results, errors);
-    fatal("unknown format '%s' (table|csv|json)", format.c_str());
+    return reports ? scenario::renderReports(scn.name(), scn.reports(),
+                                             epts, results)
+                   : scenario::renderTable(epts, results);
 }
 
 /** Render seconds as "1h02m", "3m20s" or "45s". */
@@ -259,6 +285,9 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
               "(amsc merge reassembles the grid)");
     const std::string format =
         args.getString("format", is_sweep ? "csv" : "table");
+    // A journaled run emits nothing: merge does.
+    const bool reports =
+        planOutput(format, journal_dir.empty(), scn, expanded);
 
     // --stats: a post hook dumps each point's statistics tree while
     // its GpuSystem is still alive; the dumps follow the table.
@@ -283,7 +312,11 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     std::vector<char> skip;
     std::size_t shard_points = 0, already_done = 0;
     if (!journal_dir.empty()) {
-        std::filesystem::create_directories(journal_dir);
+        std::error_code ec;
+        std::filesystem::create_directories(journal_dir, ec);
+        if (ec)
+            throw IoError(journal_dir, "cannot create journal directory: " +
+                                           ec.message());
         const JournalHeader header{sweepIdentityHash(points), shard,
                                    shard_count, points.size()};
         const std::string jpath = journal_dir + "/" +
@@ -386,7 +419,8 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
         return 0;
     }
 
-    std::string text = render(format, scn, expanded, results, errors);
+    std::string text =
+        render(format, reports, scn, expanded, results, errors);
     for (std::size_t i = 0; i < stat_dumps.size(); ++i)
         text += "\n==== " + points[i].label + ": statistics ====\n" +
             stat_dumps[i];
@@ -409,6 +443,8 @@ cmdMerge(const KvArgs &args)
     scn.setSmoke(hasFlag(args, "--smoke") ||
                  args.getBool("smoke", false));
     const std::vector<ExpandedPoint> expanded = scn.expand();
+    const std::string format = args.getString("format", "csv");
+    const bool reports = planOutput(format, true, scn, expanded);
     const std::uint64_t sweep_hash =
         sweepIdentityHash(pointsOf(expanded));
     const std::size_t num_points = expanded.size();
@@ -416,8 +452,12 @@ cmdMerge(const KvArgs &args)
     // Discover the shard files; all must agree on the shard count.
     std::vector<std::pair<std::uint32_t, std::string>> shards;
     std::uint32_t shard_count = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(journal_dir)) {
+    std::error_code ec;
+    std::filesystem::directory_iterator dir_it(journal_dir, ec);
+    if (ec)
+        throw IoError(journal_dir, "cannot read journal directory: " +
+                                       ec.message());
+    for (const auto &entry : dir_it) {
         const std::string name = entry.path().filename().string();
         unsigned i = 0, n = 0;
         int consumed = 0;
@@ -468,9 +508,9 @@ cmdMerge(const KvArgs &args)
               missing, num_points, path.c_str(),
               journal_dir.c_str());
 
-    scenario::writeOut(render(args.getString("format", "csv"), scn,
-                              expanded, results, errors),
-                       args.getString("out", ""));
+    scenario::writeOut(
+        render(format, reports, scn, expanded, results, errors),
+        args.getString("out", ""));
     return 0;
 }
 
@@ -482,13 +522,18 @@ cmdList(const KvArgs &args)
         : "workloads";
     if (what == "workloads") {
         std::printf("| abbr | benchmark | class | shared MB | "
-                    "kernels | CTAs x warps |\n"
-                    "|---|---|---|---|---|---|\n");
+                    "kernels (paper/sim) | pattern | shared frac | "
+                    "compute/mem | CTAs x warps |\n"
+                    "|---|---|---|---|---|---|---|---|---|\n");
         for (const WorkloadSpec &s : WorkloadSuite::all()) {
-            std::printf("| %s | %s | %s | %.3f | %u | %u x %u |\n",
+            std::printf("| %s | %s | %s | %.3f | %u / %u | %s | %.2f | "
+                        "%u | %u x %u |\n",
                         s.abbr.c_str(), s.fullName.c_str(),
                         workloadClassName(s.klass).c_str(), s.sharedMb,
-                        s.simKernels, s.numCtas, s.warpsPerCta);
+                        s.paperKernels, s.simKernels,
+                        scenario::patternName(s.trace.pattern),
+                        s.trace.sharedFraction, s.trace.computePerMem,
+                        s.numCtas, s.warpsPerCta);
         }
         return 0;
     }
