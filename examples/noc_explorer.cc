@@ -39,6 +39,9 @@ main(int argc, char **argv)
 
     std::uint64_t delivered_req = 0;
     std::uint64_t delivered_rep = 0;
+    net->setReplyHandler([&delivered_rep](const NocMessage &, Cycle) {
+        ++delivered_rep;
+    });
     for (Cycle c = 0; c < horizon; ++c) {
         // Request side: SMs inject reads.
         for (SmId sm = 0; sm < np.numSms; ++sm) {
@@ -71,12 +74,6 @@ main(int argc, char **argv)
                         np.packet.sizeOf(MsgKind::ReadReply);
                     net->injectReply(rep, c);
                 }
-            }
-        }
-        for (SmId sm = 0; sm < np.numSms; ++sm) {
-            while (net->hasReplyFor(sm)) {
-                net->popReplyFor(sm, c);
-                ++delivered_rep;
             }
         }
     }

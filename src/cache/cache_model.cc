@@ -119,25 +119,6 @@ CacheModel::collectDirtyLines()
     return tags_.collectDirtyLines();
 }
 
-void
-CacheModel::registerStats(StatSet &set) const
-{
-    set.addCounter(params_.name + ".read_hits", "read hits",
-                   stats_.readHits);
-    set.addCounter(params_.name + ".read_misses", "read misses",
-                   stats_.readMisses);
-    set.addCounter(params_.name + ".write_hits", "write hits",
-                   stats_.writeHits);
-    set.addCounter(params_.name + ".write_misses", "write misses",
-                   stats_.writeMisses);
-    set.addCounter(params_.name + ".fills", "line fills", stats_.fills);
-    set.addCounter(params_.name + ".evictions", "evictions",
-                   stats_.evictions);
-    const CacheStats *s = &stats_;
-    set.add(params_.name + ".miss_rate", "miss rate",
-            [s]() { return s->missRate(); });
-}
-
 
 void
 CacheModel::saveCkpt(CkptWriter &w) const

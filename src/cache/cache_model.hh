@@ -24,7 +24,6 @@
 
 #include "cache/cache_types.hh"
 #include "cache/tag_array.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace amsc
@@ -160,9 +159,6 @@ class CacheModel
 
     TagArray &tags() { return tags_; }
     const TagArray &tags() const { return tags_; }
-
-    /** Register this cache's statistics in @p set. */
-    void registerStats(StatSet &set) const;
 
     /** Serialize tags + statistics. */
     void saveCkpt(CkptWriter &w) const;

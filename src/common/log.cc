@@ -8,23 +8,6 @@
 namespace amsc
 {
 
-namespace
-{
-LogLevel gLogLevel = LogLevel::Normal;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
 std::string
 vstrfmt(const char *fmt, std::va_list ap)
 {
@@ -74,37 +57,11 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (gLogLevel < LogLevel::Normal)
-        return;
     std::va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrfmt(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (gLogLevel < LogLevel::Normal)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-verbose(const char *fmt, ...)
-{
-    if (gLogLevel < LogLevel::Verbose)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "verbose: %s\n", msg.c_str());
 }
 
 } // namespace amsc

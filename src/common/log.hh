@@ -7,7 +7,6 @@
  * fatal()  -- user error (bad configuration, invalid arguments); exits
  *             with an error code.
  * warn()   -- questionable but continuable condition.
- * inform() -- status messages.
  *
  * All message functions accept printf-style format strings.
  */
@@ -20,21 +19,6 @@
 
 namespace amsc
 {
-
-/** Verbosity levels for inform()/debug-style output. */
-enum class LogLevel
-{
-    Quiet = 0,
-    Normal = 1,
-    Verbose = 2,
-    Debug = 3,
-};
-
-/** Set the global log verbosity (default Normal). */
-void setLogLevel(LogLevel level);
-
-/** @return the current global log verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal simulator error and abort.
@@ -53,12 +37,6 @@ LogLevel logLevel();
 
 /** Report a continuable, suspicious condition to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status to stdout (LogLevel >= Normal). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Verbose diagnostics (LogLevel >= Verbose). */
-void verbose(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...)

@@ -3,8 +3,9 @@
  * Power-of-two FIFO ring for the flit and message queues.
  *
  * Every queue on the flit and message path (channel flits and credits,
- * router input buffers, endpoint, concentrator and distributor queues,
- * the LLC miss/reply/write-back queues, the SM hit queue) is a Ring.
+ * router input buffers, the crossbars' per-SM and per-slice message
+ * queues, the LLC miss/reply/write-back queues, the SM hit queue) is a
+ * Ring.
  * Its owner reserves it once, at construction, to the queue's
  * structural bound -- `vc_depth` for a router buffer, the channel's
  * credits for the flits and credits on a wire, `inject_queue_cap` /

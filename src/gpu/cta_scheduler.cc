@@ -22,20 +22,6 @@ parseCtaPolicy(const std::string &name)
         strfmt("unknown CTA policy '%s' (rr|bcs|dcs)", name.c_str()));
 }
 
-std::string
-ctaPolicyName(CtaPolicy p)
-{
-    switch (p) {
-      case CtaPolicy::TwoLevelRR:
-        return "two-level-rr";
-      case CtaPolicy::Bcs:
-        return "bcs";
-      case CtaPolicy::Dcs:
-        return "dcs";
-    }
-    return "?";
-}
-
 std::vector<std::vector<CtaId>>
 assignCtas(CtaPolicy policy, std::uint32_t num_ctas,
            std::uint32_t num_sms, std::uint32_t sms_per_cluster,

@@ -40,9 +40,6 @@ enum class CtaPolicy
 /** Parse a policy name ("rr" | "bcs" | "dcs"). */
 CtaPolicy parseCtaPolicy(const std::string &name);
 
-/** Policy display name. */
-std::string ctaPolicyName(CtaPolicy p);
-
 /**
  * Static CTA-to-SM assignment.
  *

@@ -248,15 +248,6 @@ LlcSystem::decide(Cycle now)
         lastSnap_.privateBw > lastSnap_.sharedBw * params_.bwMargin;
     if (atomics_seen)
         ++stats_.atomicVetoes;
-    verbose("llc decide @%llu: miss_s=%.3f miss_p=%.3f lsp_s=%.1f "
-            "lsp_p=%.1f bw_s=%.0f bw_p=%.0f samples=%llu -> %s%s",
-            static_cast<unsigned long long>(now),
-            lastSnap_.sharedMissRate, lastSnap_.privateMissRate,
-            lastSnap_.sharedLsp, lastSnap_.privateLsp,
-            lastSnap_.sharedBw, lastSnap_.privateBw,
-            static_cast<unsigned long long>(lastSnap_.sampledAccesses),
-            (rule1 || rule2) ? "private" : "shared",
-            rule1 ? " (rule1)" : (rule2 ? " (rule2)" : ""));
     if (rule1)
         ++stats_.rule1Fires;
     else if (rule2)
@@ -547,16 +538,6 @@ LlcSystem::aggregateReadMissRate() const
     return reads == 0
         ? 0.0
         : static_cast<double>(misses) / static_cast<double>(reads);
-}
-
-std::vector<std::uint64_t>
-LlcSystem::sliceAccessCounts() const
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(slices_.size());
-    for (const auto &s : slices_)
-        out.push_back(s->stats().accesses());
-    return out;
 }
 
 void

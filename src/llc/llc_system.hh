@@ -228,8 +228,6 @@ class LlcSystem
     std::uint64_t totalAccesses() const;
     std::uint64_t totalResponses() const;
     double aggregateReadMissRate() const;
-    /** Per-slice read+write access counts (LSP measurements). */
-    std::vector<std::uint64_t> sliceAccessCounts() const;
 
     LlcSlice &slice(SliceId s) { return *slices_[s]; }
     const LlcSlice &slice(SliceId s) const { return *slices_[s]; }

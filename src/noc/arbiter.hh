@@ -1,6 +1,6 @@
 /**
  * @file
- * Round-robin arbiter used by switch allocation and concentrators.
+ * Round-robin arbiter used by switch allocation and source ports.
  *
  * The pointer advances one past the winner only when a grant is
  * issued, which gives the strong fairness property iSLIP relies on

@@ -1,13 +1,55 @@
 #include "noc/crossbar_base.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/log.hh"
 
 namespace amsc
 {
 
-CrossbarBase::CrossbarBase(const NocParams &params) : params_(params)
+namespace
+{
+
+/** Write a message queue: its length, then each message. */
+void
+saveMessageQueue(CkptWriter &w, const Ring<NocMessage> &q)
+{
+    w.varint(q.size());
+    for (std::size_t i = 0; i < q.size(); ++i)
+        ckptValue(w, q[i]);
+}
+
+/**
+ * Read a queue written by saveMessageQueue(); a length above @p cap
+ * fails the reader (@p what names the queue).
+ */
+void
+loadMessageQueue(CkptReader &r, Ring<NocMessage> &q, std::size_t cap,
+                 const char *what)
+{
+    q.clear();
+    const std::uint64_t n = r.varint();
+    if (n > cap)
+        r.fail(std::string(what) + " over its cap");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        NocMessage m{};
+        ckptValue(r, m);
+        q.push_back(m);
+    }
+}
+
+} // namespace
+
+CrossbarBase::CrossbarBase(const NocParams &params,
+                           std::uint32_t endpoints_per_port)
+    : params_(params), perPort_(endpoints_per_port),
+      reqSrcQ_(params.numSms, Ring<NocMessage>(params.injectQueueCap)),
+      reqSinkQ_(params.numSlices(),
+                Ring<NocMessage>(params.ejectQueueCap)),
+      repSrcQ_(params.numSlices(),
+               Ring<NocMessage>(params.injectQueueCap)),
+      repSinkQ_(params.numSms, Ring<NocMessage>(params.ejectQueueCap))
 {
     if (params_.numSms == 0 || params_.numSlices() == 0)
         fatal("NoC requires SMs and slices");
@@ -23,6 +65,60 @@ CrossbarBase::makeChannel(Cycle flit_latency, std::uint32_t credits,
     return channels_.back().get();
 }
 
+CrossbarBase::Range
+CrossbarBase::portRange(std::size_t p, std::size_t n) const
+{
+    const auto first = static_cast<std::uint32_t>(p * perPort_);
+    if (first >= n)
+        panic("NoC port %zu has no endpoint", p);
+    return {first, std::min(perPort_, static_cast<std::uint32_t>(n) -
+                                          first)};
+}
+
+void
+CrossbarBase::addSource(std::vector<SourcePort> &ports,
+                        std::vector<Ring<NocMessage>> &queues,
+                        FlitChannel *out)
+{
+    const Range r = portRange(ports.size(), queues.size());
+    ports.emplace_back(out, params_.channelWidthBytes, &queues[r.first],
+                       r.count);
+}
+
+void
+CrossbarBase::addSink(std::vector<SinkPort> &ports,
+                      std::vector<Ring<NocMessage>> &queues,
+                      FlitChannel *in)
+{
+    const Range r = portRange(ports.size(), queues.size());
+    ports.emplace_back(in, &queues[r.first], r.first, r.count,
+                       params_.ejectQueueCap);
+}
+
+void
+CrossbarBase::addRequestSource(FlitChannel *out)
+{
+    addSource(reqSrc_, reqSrcQ_, out);
+}
+
+void
+CrossbarBase::addRequestSink(FlitChannel *in)
+{
+    addSink(reqSink_, reqSinkQ_, in);
+}
+
+void
+CrossbarBase::addReplySource(FlitChannel *out)
+{
+    addSource(repSrc_, repSrcQ_, out);
+}
+
+void
+CrossbarBase::addReplySink(FlitChannel *in)
+{
+    addSink(repSink_, repSinkQ_, in);
+}
+
 void
 CrossbarBase::accountDelivery(NetworkStats &stats, const NocMessage &msg,
                               Cycle now) const
@@ -31,110 +127,110 @@ CrossbarBase::accountDelivery(NetworkStats &stats, const NocMessage &msg,
                              params_.channelWidthBytes);
 }
 
+void
+CrossbarBase::enqueue(Ring<NocMessage> &q, NocMessage msg, Cycle now,
+                      std::size_t bit)
+{
+    if (q.size() >= params_.injectQueueCap)
+        panic("injection queue overflow");
+    msg.injectCycle = now;
+    q.push_back(msg);
+    live_.set(bit);
+}
+
 bool
 CrossbarBase::canInjectRequest(SmId sm) const
 {
-    return reqInj_[sm]->canAccept();
+    return reqSrcQ_[sm].size() < params_.injectQueueCap;
 }
 
 void
 CrossbarBase::injectRequest(NocMessage msg, Cycle now)
 {
     ++reqStats_.messagesInjected;
-    reqInj_[msg.src]->accept(msg, now);
+    enqueue(reqSrcQ_[msg.src], msg, now, msg.src / perPort_);
 }
 
 bool
 CrossbarBase::canInjectReply(SliceId slice) const
 {
-    return repInj_[slice]->canAccept();
+    return repSrcQ_[slice].size() < params_.injectQueueCap;
 }
 
 void
 CrossbarBase::injectReply(NocMessage msg, Cycle now)
 {
     ++repStats_.messagesInjected;
-    repInj_[msg.src]->accept(msg, now);
+    enqueue(repSrcQ_[msg.src], msg, now,
+            reqSrc_.size() + msg.src / perPort_);
 }
 
 bool
 CrossbarBase::hasRequestFor(SliceId slice) const
 {
-    return reqEj_[slice]->hasMessage();
+    return !reqSinkQ_[slice].empty();
 }
 
 NocMessage
 CrossbarBase::popRequestFor(SliceId slice, Cycle now)
 {
-    NocMessage msg = reqEj_[slice]->pop();
+    Ring<NocMessage> &q = reqSinkQ_[slice];
+    const NocMessage msg = q.front();
+    q.pop_front();
     accountDelivery(reqStats_, msg, now);
-    return msg;
-}
-
-bool
-CrossbarBase::hasReplyFor(SmId sm) const
-{
-    return repEj_[sm]->hasMessage();
-}
-
-NocMessage
-CrossbarBase::popReplyFor(SmId sm, Cycle now)
-{
-    NocMessage msg = repEj_[sm]->pop();
-    accountDelivery(repStats_, msg, now);
     return msg;
 }
 
 void
 CrossbarBase::wireLiveSet()
 {
-    sinkBase_ = reqInj_.size() + repInj_.size() + reqConc_.size() +
-        repConc_.size() + routers_.size();
-    live_.init(sinkBase_ + reqEj_.size() + repEj_.size() +
-               reqDist_.size() + repDist_.size());
+    if (reqSrc_.size() * perPort_ < reqSrcQ_.size() ||
+        reqSink_.size() * perPort_ < reqSinkQ_.size() ||
+        repSrc_.size() * perPort_ < repSrcQ_.size() ||
+        repSink_.size() * perPort_ < repSinkQ_.size())
+        panic("NoC endpoint without a port");
+    sinkBase_ = reqSrc_.size() + repSrc_.size() + routers_.size();
+    live_.init(sinkBase_ + reqSink_.size() + repSink_.size());
     std::size_t i = 0;
-    auto wire = [this, &i](auto &group) {
-        for (auto &c : group)
-            c->wireLive(live_.bit(i++));
-    };
-    wire(reqInj_);
-    wire(repInj_);
-    wire(reqConc_);
-    wire(repConc_);
-    wire(routers_);
-    wire(reqEj_);
-    wire(repEj_);
-    wire(reqDist_);
-    wire(repDist_);
+    for (auto &p : reqSrc_)
+        p.wireLive(live_.bit(i++));
+    for (auto &p : repSrc_)
+        p.wireLive(live_.bit(i++));
+    for (auto &r : routers_)
+        r->wireLive(live_.bit(i++));
+    for (auto &p : reqSink_)
+        p.wireLive(live_.bit(i++));
+    for (auto &p : repSink_)
+        p.wireLive(live_.bit(i++));
     for (const auto &ch : channels_) {
         if (!ch->liveWired())
             panic("NoC channel lacks a live sender or receiver");
     }
 }
 
-template <typename T>
+template <typename Port>
 std::size_t
-CrossbarBase::tickLive(std::vector<std::unique_ptr<T>> &v,
-                       std::size_t base, Cycle now)
+CrossbarBase::tickLive(std::vector<Port> &ports, std::size_t base,
+                       Cycle now)
 {
-    const std::size_t end = base + v.size();
+    const std::size_t end = base + ports.size();
     live_.forEach(base, end, [&](std::size_t i) {
-        T &c = *v[i - base];
-        c.tick(now);
-        if (c.idle())
+        Port &p = ports[i - base];
+        p.tick(now);
+        if (p.idle())
             live_.clear(i);
     });
     return end;
 }
 
-template <typename T>
+template <typename Port>
 std::size_t
-CrossbarBase::minLiveEvent(const std::vector<std::unique_ptr<T>> &v,
+CrossbarBase::minLiveEvent(const std::vector<Port> &ports,
                            std::size_t base, Cycle &next) const
 {
-    const std::size_t end = base + v.size();
+    const std::size_t end = base + ports.size();
     live_.forEach(base, end, [&](std::size_t i) {
-        next = std::min(next, v[i - base]->nextEventCycle());
+        next = std::min(next, ports[i - base].nextEventCycle());
     });
     return end;
 }
@@ -142,10 +238,8 @@ CrossbarBase::minLiveEvent(const std::vector<std::unique_ptr<T>> &v,
 void
 CrossbarBase::tick(Cycle now)
 {
-    std::size_t i = tickLive(reqInj_, 0, now);
-    i = tickLive(repInj_, i, now);
-    i = tickLive(reqConc_, i, now);
-    i = tickLive(repConc_, i, now);
+    std::size_t i = tickLive(reqSrc_, 0, now);
+    i = tickLive(repSrc_, i, now);
     // Each router's bit is read on its turn: a router that an earlier
     // one fed over a zero-latency link ticks in the same cycle.
     for (auto &r : routers_) {
@@ -158,10 +252,8 @@ CrossbarBase::tick(Cycle now)
         }
         ++i;
     }
-    i = tickLive(reqEj_, i, now);
-    i = tickLive(repEj_, i, now);
-    i = tickLive(reqDist_, i, now);
-    tickLive(repDist_, i, now);
+    i = tickLive(reqSink_, i, now);
+    tickLive(repSink_, i, now);
     deliverReplies(now);
 }
 
@@ -170,30 +262,16 @@ CrossbarBase::deliverReplies(Cycle now)
 {
     if (!replyHandler_)
         return;
-    auto deliver = [this, now](const NocMessage &msg) {
-        accountDelivery(repStats_, msg, now);
-        replyHandler_(msg, now);
-    };
     // A reply sink holding a message stays live, so only live sinks
     // can have anything to deliver.
-    std::size_t base = sinkBase_ + reqEj_.size();
-    std::size_t end = base + repEj_.size();
-    live_.forEach(base, end, [&](std::size_t i) {
-        EjectionAdapter &ej = *repEj_[i - base];
-        while (ej.hasMessage())
-            deliver(ej.pop());
-        if (ej.idle())
-            live_.clear(i);
-    });
-    base = end + reqDist_.size();
-    end = base + repDist_.size();
-    live_.forEach(base, end, [&](std::size_t i) {
-        DistributorAdapter &d = *repDist_[i - base];
-        for (std::uint32_t local = 0; local < d.numDsts(); ++local) {
-            while (d.hasMessage(local))
-                deliver(d.pop(local));
-        }
-        if (d.idle())
+    const std::size_t base = sinkBase_ + reqSink_.size();
+    live_.forEach(base, base + repSink_.size(), [&](std::size_t i) {
+        SinkPort &sink = repSink_[i - base];
+        sink.deliver([this, now](const NocMessage &msg, SmId at) {
+            accountDelivery(repStats_, msg, now);
+            replyHandler_(msg, at, now);
+        });
+        if (sink.idle())
             live_.clear(i);
     });
 }
@@ -203,15 +281,13 @@ CrossbarBase::nextEventCycle(Cycle now) const
 {
     (void)now;
     Cycle next = kNoCycle;
-    std::size_t i = minLiveEvent(reqInj_, 0, next);
-    i = minLiveEvent(repInj_, i, next);
-    i = minLiveEvent(reqConc_, i, next);
-    i = minLiveEvent(repConc_, i, next);
-    i = minLiveEvent(routers_, i, next);
-    i = minLiveEvent(reqEj_, i, next);
-    i = minLiveEvent(repEj_, i, next);
-    i = minLiveEvent(reqDist_, i, next);
-    minLiveEvent(repDist_, i, next);
+    std::size_t i = minLiveEvent(reqSrc_, 0, next);
+    i = minLiveEvent(repSrc_, i, next);
+    live_.forEach(i, i + routers_.size(), [&](std::size_t k) {
+        next = std::min(next, routers_[k - i]->nextEventCycle());
+    });
+    i = minLiveEvent(reqSink_, i + routers_.size(), next);
+    minLiveEvent(repSink_, i, next);
     return next;
 }
 
@@ -222,31 +298,19 @@ CrossbarBase::advanceIdleCycles(Cycle n)
         r->skipIdleCycles(n);
 }
 
-namespace
-{
-
-template <typename T>
-bool
-allDrained(const std::vector<std::unique_ptr<T>> &v)
-{
-    for (const auto &c : v) {
-        if (!c->drained())
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
 bool
 CrossbarBase::drained() const
 {
-    if (!allDrained(reqInj_) || !allDrained(repInj_) ||
-        !allDrained(reqConc_) || !allDrained(repConc_) ||
-        !allDrained(routers_) || !allDrained(reqEj_) ||
-        !allDrained(repEj_) || !allDrained(reqDist_) ||
-        !allDrained(repDist_))
+    const auto drained = [](const auto &c) { return c.drained(); };
+    if (!std::all_of(reqSrc_.begin(), reqSrc_.end(), drained) ||
+        !std::all_of(repSrc_.begin(), repSrc_.end(), drained) ||
+        !std::all_of(reqSink_.begin(), reqSink_.end(), drained) ||
+        !std::all_of(repSink_.begin(), repSink_.end(), drained))
         return false;
+    for (const auto &r : routers_) {
+        if (!r->drained())
+            return false;
+    }
     for (const auto &ch : channels_) {
         if (!ch->quiescent())
             return false;
@@ -258,7 +322,7 @@ void
 CrossbarBase::saveCkpt(CkptWriter &w) const
 {
     saveStatsCkpt(w);
-    // Channel/router/adapter counts and wiring are fully determined
+    // Channel, router and port counts and wiring are fully determined
     // by the topology constructor, so per-element state is written in
     // construction order; the counts guard against topology drift.
     w.varint(channels_.size());
@@ -267,22 +331,18 @@ CrossbarBase::saveCkpt(CkptWriter &w) const
     w.varint(routers_.size());
     for (const auto &r : routers_)
         r->saveCkpt(w);
-    for (const auto &inj : reqInj_)
-        inj->saveCkpt(w);
-    for (const auto &ej : reqEj_)
-        ej->saveCkpt(w);
-    for (const auto &inj : repInj_)
-        inj->saveCkpt(w);
-    for (const auto &ej : repEj_)
-        ej->saveCkpt(w);
-    for (const auto &a : reqConc_)
-        a->saveCkpt(w);
-    for (const auto &a : reqDist_)
-        a->saveCkpt(w);
-    for (const auto &a : repConc_)
-        a->saveCkpt(w);
-    for (const auto &a : repDist_)
-        a->saveCkpt(w);
+    for (const auto *qs : {&reqSrcQ_, &reqSinkQ_, &repSrcQ_, &repSinkQ_}) {
+        for (const auto &q : *qs)
+            saveMessageQueue(w, q);
+    }
+    for (const auto *ports : {&reqSrc_, &repSrc_}) {
+        for (const SourcePort &p : *ports)
+            p.saveCkpt(w);
+    }
+    for (const auto *ports : {&reqSink_, &repSink_}) {
+        for (const SinkPort &p : *ports)
+            p.saveCkpt(w);
+    }
 }
 
 void
@@ -297,22 +357,28 @@ CrossbarBase::loadCkpt(CkptReader &r)
         r.fail("NoC router count mismatch");
     for (auto &rt : routers_)
         rt->loadCkpt(r);
-    for (auto &inj : reqInj_)
-        inj->loadCkpt(r);
-    for (auto &ej : reqEj_)
-        ej->loadCkpt(r);
-    for (auto &inj : repInj_)
-        inj->loadCkpt(r);
-    for (auto &ej : repEj_)
-        ej->loadCkpt(r);
-    for (auto &a : reqConc_)
-        a->loadCkpt(r);
-    for (auto &a : reqDist_)
-        a->loadCkpt(r);
-    for (auto &a : repConc_)
-        a->loadCkpt(r);
-    for (auto &a : repDist_)
-        a->loadCkpt(r);
+    // The queues come first: the ports check their cursors and
+    // latches against them.
+    for (auto &q : reqSrcQ_)
+        loadMessageQueue(r, q, params_.injectQueueCap,
+                         "request source queue");
+    for (auto &q : reqSinkQ_)
+        loadMessageQueue(r, q, params_.ejectQueueCap,
+                         "request sink queue");
+    for (auto &q : repSrcQ_)
+        loadMessageQueue(r, q, params_.injectQueueCap,
+                         "reply source queue");
+    for (auto &q : repSinkQ_)
+        loadMessageQueue(r, q, params_.ejectQueueCap,
+                         "reply sink queue");
+    for (auto *ports : {&reqSrc_, &repSrc_}) {
+        for (SourcePort &p : *ports)
+            p.loadCkpt(r);
+    }
+    for (auto *ports : {&reqSink_, &repSink_}) {
+        for (SinkPort &p : *ports)
+            p.loadCkpt(r);
+    }
     // The live set is derived state: after a restore every component
     // ticks once and clears its own bit if it is idle.
     live_.setAll();

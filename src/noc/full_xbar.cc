@@ -4,7 +4,7 @@ namespace amsc
 {
 
 FullXbarNetwork::FullXbarNetwork(const NocParams &params)
-    : CrossbarBase(params)
+    : CrossbarBase(params, 1)
 {
     const std::uint32_t sms = params_.numSms;
     const std::uint32_t slices = params_.numSlices();
@@ -25,19 +25,18 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
             makeChannel(params_.longLinkLatency,
                         reqRouter_->inputBufferDepth(),
                         params_.longLinkMm);
-        reqInj_.push_back(std::make_unique<InjectionAdapter>(
-            ch, params_.channelWidthBytes, params_.injectQueueCap));
+        addRequestSource(ch);
         reqRouter_->connectInput(sm, ch);
     }
     for (SliceId s = 0; s < slices; ++s) {
         // The ejection-side flit buffer is one VC deep; the larger
-        // message queue in the adapter models the slice front queue.
+        // message queue behind the sink port models the slice front
+        // queue.
         FlitChannel *ch = makeChannel(params_.longLinkLatency,
                                       params_.vcDepthFlits,
                                       params_.longLinkMm);
         reqRouter_->connectOutput(s, ch);
-        reqEj_.push_back(std::make_unique<EjectionAdapter>(
-            ch, params_.ejectQueueCap));
+        addRequestSink(ch);
     }
 
     // ---- Reply network: slices -> SMs ----------------------------
@@ -56,8 +55,7 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
             makeChannel(params_.longLinkLatency,
                         repRouter_->inputBufferDepth(),
                         params_.longLinkMm);
-        repInj_.push_back(std::make_unique<InjectionAdapter>(
-            ch, params_.channelWidthBytes, params_.injectQueueCap));
+        addReplySource(ch);
         repRouter_->connectInput(s, ch);
     }
     for (SmId sm = 0; sm < sms; ++sm) {
@@ -65,8 +63,7 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
                                       params_.vcDepthFlits,
                                       params_.longLinkMm);
         repRouter_->connectOutput(sm, ch);
-        repEj_.push_back(std::make_unique<EjectionAdapter>(
-            ch, params_.ejectQueueCap));
+        addReplySink(ch);
     }
     wireLiveSet();
 }

@@ -6,7 +6,7 @@ namespace amsc
 {
 
 HierXbarNetwork::HierXbarNetwork(const NocParams &params)
-    : CrossbarBase(params)
+    : CrossbarBase(params, 1)
 {
     const std::uint32_t clusters = params_.numClusters;
     const std::uint32_t mcs = params_.numMcs;
@@ -58,8 +58,7 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
             makeChannel(params_.shortLinkLatency,
                         smRoutersReq_[c]->inputBufferDepth(),
                         params_.shortLinkMm);
-        reqInj_.push_back(std::make_unique<InjectionAdapter>(
-            ch, params_.channelWidthBytes, params_.injectQueueCap));
+        addRequestSource(ch);
         smRoutersReq_[c]->connectInput(local, ch);
     }
 
@@ -75,17 +74,14 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         }
     }
 
-    // MC-router -> slice short links + ejection.
-    reqEj_.resize(slices);
+    // MC-router -> slice short links + ejection (slice m * spm + j).
     for (McId m = 0; m < mcs; ++m) {
         for (std::uint32_t j = 0; j < spm; ++j) {
-            const SliceId s = m * spm + j;
             FlitChannel *ch = makeChannel(params_.shortLinkLatency,
                                           params_.vcDepthFlits,
                                           params_.shortLinkMm);
             mcRoutersReq_[m]->connectOutput(j, ch);
-            reqEj_[s] = std::make_unique<EjectionAdapter>(
-                ch, params_.ejectQueueCap);
+            addRequestSink(ch);
         }
     }
 
@@ -119,18 +115,14 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
             rp, sms, [spc](std::uint32_t dst) { return dst % spc; }));
     }
 
-    // Slice -> MC-router short links.
-    repInj_.resize(slices);
+    // Slice -> MC-router short links (slice m * spm + j).
     for (McId m = 0; m < mcs; ++m) {
         for (std::uint32_t j = 0; j < spm; ++j) {
-            const SliceId s = m * spm + j;
             FlitChannel *ch =
                 makeChannel(params_.shortLinkLatency,
                             mcRoutersRep_[m]->inputBufferDepth(),
                             params_.shortLinkMm);
-            repInj_[s] = std::make_unique<InjectionAdapter>(
-                ch, params_.channelWidthBytes,
-                params_.injectQueueCap);
+            addReplySource(ch);
             mcRoutersRep_[m]->connectInput(j, ch);
         }
     }
@@ -148,7 +140,6 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
     }
 
     // SM-router -> SM short links + ejection.
-    repEj_.resize(sms);
     for (SmId sm = 0; sm < sms; ++sm) {
         const ClusterId c = params_.clusterOf(sm);
         const std::uint32_t local = sm % spc;
@@ -156,8 +147,7 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
                                       params_.vcDepthFlits,
                                       params_.shortLinkMm);
         smRoutersRep_[c]->connectOutput(local, ch);
-        repEj_[sm] = std::make_unique<EjectionAdapter>(
-            ch, params_.ejectQueueCap);
+        addReplySink(ch);
     }
     wireLiveSet();
 }

@@ -56,33 +56,19 @@ IdealNetwork::popRequestFor(SliceId slice, Cycle now)
     return msg;
 }
 
-bool
-IdealNetwork::hasReplyFor(SmId sm) const
-{
-    return toSm_[sm].ready(now_);
-}
-
-NocMessage
-IdealNetwork::popReplyFor(SmId sm, Cycle now)
-{
-    NocMessage msg = toSm_[sm].pop(now);
-    accountDelivery(repStats_, msg, now,
-                    params_.channelWidthBytes);
-    return msg;
-}
-
 void
 IdealNetwork::tick(Cycle now)
 {
     now_ = now;
     if (!replyHandler_)
         return;
-    for (auto &q : toSm_) {
+    for (SmId sm = 0; sm < toSm_.size(); ++sm) {
+        auto &q = toSm_[sm];
         while (q.ready(now)) {
             const NocMessage msg = q.pop(now);
             accountDelivery(repStats_, msg, now,
                             params_.channelWidthBytes);
-            replyHandler_(msg, now);
+            replyHandler_(msg, sm, now);
         }
     }
 }

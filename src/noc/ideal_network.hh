@@ -30,8 +30,6 @@ class IdealNetwork : public Network
     void injectReply(NocMessage msg, Cycle now) override;
     bool hasRequestFor(SliceId slice) const override;
     NocMessage popRequestFor(SliceId slice, Cycle now) override;
-    bool hasReplyFor(SmId sm) const override;
-    NocMessage popReplyFor(SmId sm, Cycle now) override;
     void tick(Cycle now) override;
     bool drained() const override;
     Cycle nextEventCycle(Cycle now) const override;

@@ -2,8 +2,8 @@
  * @file
  * Activity bits for the flit crossbars.
  *
- * A LiveSet holds one bit per crossbar component (source adapter,
- * router, sink adapter). A set bit means "tick this component"; a
+ * A LiveSet holds one bit per crossbar component (source port,
+ * router, sink port). A set bit means "tick this component"; a
  * clear bit is a proof that its tick() is a no-op (apart from a
  * router's per-cycle active/gated counter). Work reaches a component
  * only through its channels or an injection, so every channel holds
@@ -72,6 +72,7 @@ class LiveSet
     LiveBit bit(std::size_t i) { return {&words_[i >> 6], maskOf(i)}; }
 
     bool test(std::size_t i) const { return words_[i >> 6] & maskOf(i); }
+    void set(std::size_t i) { words_[i >> 6] |= maskOf(i); }
     void clear(std::size_t i) { words_[i >> 6] &= ~maskOf(i); }
 
     /** Set every bit (state restored from a checkpoint). */

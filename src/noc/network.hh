@@ -4,8 +4,9 @@
  *
  * All topologies (full crossbar, concentrated crossbar, hierarchical
  * two-stage crossbar, ideal) expose the same contract to the rest of
- * the system: inject requests at SMs, inject replies at LLC slices,
- * pop delivered messages at the opposite side, tick once per cycle.
+ * the system: inject requests at SMs and replies at LLC slices, tick
+ * once per cycle; slices poll and pop their delivered requests, and
+ * delivered replies are pushed into the installed reply handler.
  *
  * The request and reply networks are physically separate (paper
  * section 3.1); implementations instantiate both directions.
@@ -17,6 +18,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/ckpt.hh"
 #include "common/stats.hh"
@@ -59,21 +62,38 @@ class Network
 {
   public:
     /**
-     * Sink for delivered replies (msg.dst = SM id). When installed,
-     * every reply is handed over at the end of tick() in the cycle it
-     * becomes deliverable, instead of waiting in the per-SM ejection
-     * queue for hasReplyFor()/popReplyFor() polling. The delivered
-     * set, per-SM order and accounting are identical to draining the
-     * queues right after tick() returns.
+     * Sink for delivered replies: the reply, the SM whose queue it
+     * arrived at, and the cycle. Every reply is handed over, and
+     * accounted as delivered, at the end of tick() in the cycle it
+     * becomes deliverable, in SM order and per SM in arrival order.
+     * This is the only way replies leave the network: without a
+     * handler they stay queued at their SMs. The arrival SM is
+     * msg.dst on every correct route; a bypassed H-Xbar MC-router
+     * forwards input i to output i, so in private mode a reply from a
+     * slice outside the SM's cluster arrives at another SM.
      */
-    using ReplyHandler = std::function<void(const NocMessage &, Cycle)>;
+    using ReplyHandler =
+        std::function<void(const NocMessage &, SmId, Cycle)>;
 
     virtual ~Network() = default;
 
-    /** Install @p fn as the push-delivery sink for replies. */
-    void setReplyHandler(ReplyHandler fn)
+    /**
+     * Install @p fn as the sink for delivered replies. @p fn takes
+     * (msg, arrival SM, now), or (msg, now) if it routes by msg.dst.
+     */
+    template <typename Fn>
+    void
+    setReplyHandler(Fn fn)
     {
-        replyHandler_ = std::move(fn);
+        if constexpr (std::is_invocable_v<Fn &, const NocMessage &,
+                                          SmId, Cycle>) {
+            replyHandler_ = std::move(fn);
+        } else {
+            replyHandler_ = [fn = std::move(fn)](const NocMessage &msg,
+                                                 SmId, Cycle now) mutable {
+                fn(msg, now);
+            };
+        }
     }
 
     /** @return true if SM @p sm can inject another request. */
@@ -102,12 +122,6 @@ class Network
     /** Pop the oldest request delivered to @p slice. */
     virtual NocMessage popRequestFor(SliceId slice, Cycle now) = 0;
 
-    /** @return true if a reply is deliverable at @p sm. */
-    virtual bool hasReplyFor(SmId sm) const = 0;
-
-    /** Pop the oldest reply delivered to @p sm. */
-    virtual NocMessage popReplyFor(SmId sm, Cycle now) = 0;
-
     /** Advance the network one cycle. */
     virtual void tick(Cycle now) = 0;
 
@@ -123,7 +137,7 @@ class Network
      * conservative `now + 1` of this default) is always safe, only
      * slow. Every shipped topology is exact: the ideal NoC advertises
      * its delay-queue fronts, and the crossbars take the min over
-     * their live components -- router head-of-line flits, endpoint
+     * their live components -- router head-of-line flits, port
      * sendable cycles, and the in-flight flit *and* credit fronts of
      * each live component's channels (credit absorption mutates
      * checkpointed state and flips drained(), which the LLC

@@ -103,12 +103,6 @@ TimelineRecorder::~TimelineRecorder()
     }
 }
 
-std::uint64_t
-TimelineRecorder::streamedLines() const
-{
-    return stream_ ? stream_->lines() : 0;
-}
-
 void
 TimelineRecorder::onCtrlEvent(const LlcCtrlEvent &e)
 {

@@ -66,9 +66,6 @@ class TimelineRecorder
      */
     void finish();
 
-    /** Stats-stream records written (tests). */
-    std::uint64_t streamedLines() const;
-
     /**
      * Build a recorder per the registry keys; nullptr when neither
      * the timeline nor the stats stream is enabled.

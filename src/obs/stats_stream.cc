@@ -36,7 +36,6 @@ StatsStreamer::write(Cycle cycle, Cycle window,
     out_.flush();
     if (!out_.good())
         throw IoError(path_, "stats stream: flush failed");
-    ++lines_;
 }
 
 } // namespace amsc::obs

@@ -42,13 +42,9 @@ class StatsStreamer
     void write(Cycle cycle, Cycle window,
                const std::vector<TimelineArg> &fields);
 
-    /** Records written so far. */
-    std::uint64_t lines() const { return lines_; }
-
   private:
     std::ofstream out_;
     std::string path_; ///< for error reporting on short writes
-    std::uint64_t lines_ = 0;
 };
 
 } // namespace amsc::obs

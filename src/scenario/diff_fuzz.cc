@@ -144,7 +144,7 @@ makeFuzzCase(std::uint64_t seed, std::uint32_t index)
     const bool serving = index % 3 == 2;
     // The NoC-topology axis is stratified by case index, not sampled:
     // any campaign of >= 4 points provably covers all four topologies
-    // (and every flit-level router/channel/concentrator event path),
+    // (and every flit-level router/channel/port event path),
     // so no fixed seed can silently under-test a NoC.
     static const char *const kNocs[] = {"ideal", "full", "cxbar",
                                         "hxbar"};

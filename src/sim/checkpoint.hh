@@ -43,7 +43,7 @@ inline constexpr char kCkptMagic[] = "AMSCCKP1";
  * so an older file fails with "unsupported checkpoint version" rather
  * than mid-payload.
  */
-inline constexpr std::uint32_t kCkptVersion = 2;
+inline constexpr std::uint32_t kCkptVersion = 3;
 
 /**
  * FNV-1a digest of the simulation-relevant registry keys of @p cfg

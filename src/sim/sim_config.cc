@@ -260,7 +260,7 @@ bs(bool v)
     return v ? "true" : "false";
 }
 
-/** Parseable cta_policy spelling (ctaPolicyName() is display-only). */
+/** Parseable cta_policy spelling. */
 std::string
 ctaPolicyKey(CtaPolicy p)
 {

@@ -2,12 +2,12 @@
  * @file
  * Open-loop LLM-inference serving workload (request-driver program).
  *
- * Models the traffic class ROADMAP item 3 asks about: multi-tenant
- * inference serving under a Poisson request stream. Requests arrive
- * open-loop (arrival times never depend on service progress) over a
- * Zipf-distributed tenant population; the driver queues them, batches
- * consecutive same-tenant requests, and launches a three-phase chain
- * per batch:
+ * Models multi-tenant inference serving under a Poisson request
+ * stream (docs/workloads.md, "The llm_inference request driver").
+ * Requests arrive open-loop (arrival times never depend on service
+ * progress) over a Zipf-distributed tenant population; the driver
+ * queues them, batches consecutive same-tenant requests, and launches
+ * a three-phase chain per batch:
  *
  *  - prefill:   compute-dense, high-reuse GEMM-like pass over the
  *               tenant's weight matrices (TiledShared);

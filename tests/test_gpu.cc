@@ -162,7 +162,11 @@ struct SmRig
           sm(sp, &net, [](Addr line) {
               return static_cast<SliceId>(line % 16);
           })
-    {}
+    {
+        net.setReplyHandler([this](const NocMessage &msg, Cycle now) {
+            sm.onReply(msg, now);
+        });
+    }
 
     static NocParams
     makeNp()
@@ -216,8 +220,6 @@ struct SmRig
                     }
                 }
             }
-            while (net.hasReplyFor(0))
-                sm.onReply(net.popReplyFor(0, c), c);
             sm.tick(c);
         }
     }

@@ -260,6 +260,8 @@ struct SliceRig
     LlcSliceParams sp;
     LlcSlice slice;
     bool writeThrough = false;
+    /** Replies the network delivered since run() began. */
+    std::vector<NocMessage> replies;
 
     SliceRig()
         : np(makeNp()), net(np), mp(mapParams()), mapping(mp),
@@ -271,6 +273,9 @@ struct SliceRig
             [this](Addr line, std::uint64_t, Cycle now) {
                 slice.onDramReply(line, now);
             });
+        net.setReplyHandler([this](const NocMessage &msg, Cycle) {
+            replies.push_back(msg);
+        });
     }
 
     static NocParams
@@ -321,19 +326,15 @@ struct SliceRig
         net.injectRequest(m, now);
     }
 
-    /** Run and collect replies (dst SMs). */
+    /** Run and collect the replies delivered meanwhile (dst SMs). */
     std::vector<NocMessage>
     run(Cycle cycles, Cycle start = 0)
     {
-        std::vector<NocMessage> replies;
+        replies.clear();
         for (Cycle c = start; c < start + cycles; ++c) {
             net.tick(c);
             slice.tick(c);
             mem.tick(c);
-            for (SmId sm = 0; sm < np.numSms; ++sm) {
-                while (net.hasReplyFor(sm))
-                    replies.push_back(net.popReplyFor(sm, c));
-            }
         }
         return replies;
     }

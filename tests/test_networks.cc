@@ -133,6 +133,11 @@ TEST_P(NetworkTopologyTest, ReplyConservationRandomTraffic)
 
     int injected = 0;
     int delivered = 0;
+    net->setReplyHandler(
+        [&delivered](const NocMessage &m, SmId at, Cycle) {
+            EXPECT_EQ(m.dst, at) << "misrouted reply";
+            ++delivered;
+        });
     for (Cycle c = 0; c < 6000; ++c) {
         if (injected < 300) {
             const SliceId sl =
@@ -145,13 +150,6 @@ TEST_P(NetworkTopologyTest, ReplyConservationRandomTraffic)
             }
         }
         net->tick(c);
-        for (SmId sm = 0; sm < p.numSms; ++sm) {
-            while (net->hasReplyFor(sm)) {
-                const NocMessage m = net->popReplyFor(sm, c);
-                EXPECT_EQ(m.dst, sm) << "misrouted reply";
-                ++delivered;
-            }
-        }
     }
     EXPECT_EQ(delivered, injected);
     EXPECT_TRUE(net->drained());
@@ -334,6 +332,8 @@ TEST_P(NetworkWidthTest, ConservationAcrossWidths)
     Rng rng(3);
     int injected = 0;
     int delivered = 0;
+    net->setReplyHandler(
+        [&delivered](const NocMessage &, Cycle) { ++delivered; });
     for (Cycle c = 0; c < 8000; ++c) {
         if (injected < 150) {
             const SliceId sl =
@@ -347,12 +347,6 @@ TEST_P(NetworkWidthTest, ConservationAcrossWidths)
             }
         }
         net->tick(c);
-        for (SmId sm = 0; sm < p.numSms; ++sm) {
-            while (net->hasReplyFor(sm)) {
-                net->popReplyFor(sm, c);
-                ++delivered;
-            }
-        }
     }
     EXPECT_EQ(delivered, injected);
 }
@@ -367,6 +361,79 @@ INSTANTIATE_TEST_SUITE_P(
            &info) {
         return topologyName(std::get<0>(info.param)) + "_w" +
             std::to_string(std::get<1>(info.param));
+    });
+
+// ------------------------------------------------ endpoint queues
+
+/** Full-Xbar and C-Xbar\@2: one and two endpoints per port. */
+class CrossbarQueueTest : public ::testing::TestWithParam<NocTopology>
+{
+  protected:
+    static NocParams
+    params(std::size_t cap)
+    {
+        NocParams p = smallParams(GetParam());
+        p.injectQueueCap = cap;
+        p.ejectQueueCap = cap;
+        return p;
+    }
+};
+
+TEST_P(CrossbarQueueTest, InjectionQueueCapacity)
+{
+    auto net = makeNetwork(params(2));
+    net->injectRequest(readReq(1, 0), 0);
+    net->injectRequest(readReq(1, 0), 0);
+    EXPECT_FALSE(net->canInjectRequest(1));
+    EXPECT_TRUE(net->canInjectRequest(0));
+    net->injectReply(readReply(3, 0), 0);
+    net->injectReply(readReply(3, 0), 0);
+    EXPECT_FALSE(net->canInjectReply(3));
+    EXPECT_TRUE(net->canInjectReply(2));
+}
+
+TEST_P(CrossbarQueueTest, CkptQueueCapsBoundTheLoader)
+{
+    // Fill one queue of each kind to 4 in a network with caps of 4;
+    // an identical network restores it, one with caps of 3 fails the
+    // reader naming the queue. Nobody pops requests and no reply
+    // handler is installed, so delivered messages stay queued.
+    const char *const queue[] = {"request source queue",
+                                 "request sink queue",
+                                 "reply source queue", "reply sink queue"};
+    for (int kind = 0; kind < 4; ++kind) {
+        SCOPED_TRACE(queue[kind]);
+        auto net = makeNetwork(params(4));
+        // Four messages from one endpoint wait at its source queue
+        // until a tick; four from four endpoints to one endpoint fill
+        // its sink queue within 300 cycles.
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            switch (kind) {
+            case 0: net->injectRequest(readReq(1, 0), 0); break;
+            case 1: net->injectRequest(readReq(i, 1), 0); break;
+            case 2: net->injectReply(readReply(1, 0), 0); break;
+            default: net->injectReply(readReply(i, 1), 0); break;
+            }
+        }
+        for (Cycle c = 0; kind % 2 == 1 && c < 300; ++c)
+            net->tick(c);
+        const std::vector<std::uint8_t> bytes = ckptBytes(*net);
+        auto same = makeNetwork(params(4));
+        CkptReader ok(bytes.data(), bytes.size());
+        same->loadCkpt(ok);
+        EXPECT_EQ(ckptBytes(*same), bytes);
+        auto small = makeNetwork(params(3));
+        CkptReader bad(bytes.data(), bytes.size());
+        AMSC_EXPECT_THROW_MSG(small->loadCkpt(bad), FormatError,
+                              std::string(queue[kind]) + " over its cap");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Crossbars, CrossbarQueueTest,
+    ::testing::Values(NocTopology::FullXbar, NocTopology::Concentrated),
+    [](const ::testing::TestParamInfo<NocTopology> &info) {
+        return topologyName(info.param);
     });
 
 // ---------------------------------------------------- config checks
@@ -446,22 +513,19 @@ TEST(HierXbar, PrivateModeRepliesReachSms)
     net.setPrivateMode(true);
     const std::uint32_t spc = p.smsPerCluster();
 
-    int delivered = 0;
+    std::vector<SmId> got; // arrival SM of each delivered reply
+    net.setReplyHandler(
+        [&got](const NocMessage &, SmId at, Cycle) { got.push_back(at); });
     Cycle c = 0;
     for (ClusterId cl = 0; cl < p.numClusters; ++cl) {
         const SmId sm = cl * spc + 1;
         const SliceId src = 2 * p.slicesPerMc + cl; // mc 2, own slice
         net.injectReply(readReply(src, sm), c);
-        for (Cycle end = c + 300; c < end; ++c) {
+        for (Cycle end = c + 300; c < end && got.size() <= cl; ++c)
             net.tick(c);
-            if (net.hasReplyFor(sm)) {
-                EXPECT_EQ(net.popReplyFor(sm, c).dst, sm);
-                ++delivered;
-                break;
-            }
-        }
+        ASSERT_EQ(got.size(), cl + 1u);
+        EXPECT_EQ(got.back(), sm);
     }
-    EXPECT_EQ(delivered, static_cast<int>(p.numClusters));
 }
 
 TEST(HierXbar, ModeSwitchRequiresDrain)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for NoC building blocks: arbiter, channel, endpoint
- * adapters, router.
+ * Unit tests for NoC building blocks: arbiter, channel, source and
+ * sink ports, router.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,7 @@
 #include "common/error.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
-#include "noc/concentrator.hh"
-#include "noc/endpoint.hh"
+#include "noc/port.hh"
 #include "noc/router.hh"
 
 namespace amsc
@@ -129,7 +128,7 @@ TEST(Channel, ActivityCountsTraversals)
     EXPECT_DOUBLE_EQ(ch.activity().lengthMm, 12.3);
 }
 
-// ------------------------------------------------------------ Endpoints
+// ---------------------------------------------------------------- Ports
 
 TEST(Endpoint, PacketizationFlitCounts)
 {
@@ -144,128 +143,175 @@ TEST(Endpoint, PacketizationFlitCounts)
     EXPECT_EQ(m.numFlits(64), 3u);
 }
 
-TEST(Endpoint, InjectThenEjectRoundTrip)
+namespace
 {
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    InjectionAdapter inj(&ch, 32, 4);
-    EjectionAdapter ej(&ch, 4);
 
+/**
+ * A source port and a sink port over one channel, each serving the
+ * same number of endpoints: @p n queues per side, the sink's for
+ * endpoints kFirst to kFirst + n - 1.
+ */
+struct PortRig
+{
+    static constexpr std::uint32_t kFirst = 4;
+
+    FlitChannel ch;
+    std::vector<Ring<NocMessage>> srcQ;
+    std::vector<Ring<NocMessage>> sinkQ;
+    SourcePort src;
+    SinkPort sink;
+
+    PortRig(std::uint32_t n, std::size_t sink_cap)
+        : ch(1, 1, 8, 1.0, 32), srcQ(n, Ring<NocMessage>(8)),
+          sinkQ(n, Ring<NocMessage>(sink_cap)),
+          src(&ch, 32, srcQ.data(), n),
+          sink(&ch, sinkQ.data(), kFirst, n, sink_cap)
+    {}
+
+    void
+    tick(Cycle c)
+    {
+        src.tick(c);
+        sink.tick(c);
+    }
+
+    /**
+     * Delivered messages, in the sink's delivery order; their arrival
+     * endpoints are appended to `arrivedAt`.
+     */
+    std::vector<NocMessage>
+    take()
+    {
+        std::vector<NocMessage> out;
+        sink.deliver([&](const NocMessage &m, std::uint32_t at) {
+            out.push_back(m);
+            arrivedAt.push_back(at);
+        });
+        return out;
+    }
+
+    std::vector<std::uint32_t> arrivedAt;
+};
+
+NocMessage
+sized(std::uint32_t bytes, std::uint64_t token, std::uint32_t dst = 0)
+{
     NocMessage m;
+    m.sizeBytes = bytes;
+    m.token = token;
+    m.dst = dst;
+    return m;
+}
+
+} // namespace
+
+/** Every port test runs with one and with two endpoints per port. */
+class Ports : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(Ports, InjectThenEjectRoundTrip)
+{
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 4);
+    // A 5-flit reply for the port's last endpoint.
+    NocMessage m = sized(144, 99, PortRig::kFirst + n - 1);
     m.kind = MsgKind::ReadReply;
-    m.sizeBytes = 144; // 5 flits
-    m.dst = 3;
-    m.token = 99;
-    inj.accept(m, 0);
+    rig.srcQ[n - 1].push_back(m);
 
     Cycle c = 0;
-    while (!ej.hasMessage() && c < 50) {
-        inj.tick(c);
-        ej.tick(c);
-        ++c;
-    }
-    ASSERT_TRUE(ej.hasMessage());
-    const NocMessage out = ej.pop();
-    EXPECT_EQ(out.token, 99u);
-    EXPECT_EQ(out.dst, 3u);
+    while (rig.sinkQ[n - 1].empty() && c < 50)
+        rig.tick(c++);
+    ASSERT_FALSE(rig.sinkQ[n - 1].empty());
+    EXPECT_FALSE(rig.sink.drained());
+    const std::vector<NocMessage> out = rig.take();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].token, 99u);
+    EXPECT_EQ(out[0].dst, PortRig::kFirst + n - 1);
+    EXPECT_EQ(rig.arrivedAt,
+              std::vector<std::uint32_t>{PortRig::kFirst + n - 1});
     // 5 flits at 1 per cycle + wire latency.
     EXPECT_GE(c, 5u);
-    EXPECT_TRUE(inj.drained());
-    EXPECT_TRUE(ej.drained());
+    EXPECT_TRUE(rig.src.drained());
+    EXPECT_TRUE(rig.sink.drained());
 }
 
-TEST(Endpoint, EjectionBackpressureStopsReceiving)
+TEST_P(Ports, SinkBackpressureStopsReceiving)
 {
-    FlitChannel ch(1, 1, 4, 1.0, 32);
-    InjectionAdapter inj(&ch, 32, 8);
-    EjectionAdapter ej(&ch, 1); // single-message queue
-
-    for (int i = 0; i < 3; ++i) {
-        NocMessage m;
-        m.sizeBytes = 16; // 1 flit
-        m.token = static_cast<std::uint64_t>(i);
-        inj.accept(m, 0);
-    }
-    for (Cycle c = 0; c < 30; ++c) {
-        inj.tick(c);
-        ej.tick(c);
-    }
-    // Only one message fits; the rest is stuck behind backpressure.
-    EXPECT_TRUE(ej.hasMessage());
-    EXPECT_EQ(ej.queueSize(), 1u);
-    EXPECT_FALSE(inj.drained() && ch.quiescent());
+    // Single-message sink queues: one message fits, the rest stays
+    // behind backpressure until the consumer pops.
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 1);
+    for (std::uint64_t i = 0; i < 3; ++i)
+        rig.srcQ[0].push_back(sized(16, i, PortRig::kFirst));
+    for (Cycle c = 0; c < 30; ++c)
+        rig.tick(c);
+    EXPECT_EQ(rig.sinkQ[0].size(), 1u);
+    EXPECT_FALSE(rig.src.drained() && rig.ch.quiescent());
     // Draining the consumer unblocks the pipeline.
-    EXPECT_EQ(ej.pop().token, 0u);
+    EXPECT_EQ(rig.take().at(0).token, 0u);
     for (Cycle c = 30; c < 60; ++c) {
-        inj.tick(c);
-        ej.tick(c);
-        if (ej.hasMessage() && ej.queueSize() == 1)
-            ej.pop();
+        rig.tick(c);
+        rig.take();
     }
-    EXPECT_TRUE(inj.drained());
+    EXPECT_TRUE(rig.src.drained());
 }
 
-TEST(Endpoint, InjectionQueueCapacity)
+TEST_P(Ports, SinkFullQueueBlocksTheWholePort)
 {
-    FlitChannel ch(1, 1, 4, 1.0, 32);
-    InjectionAdapter inj(&ch, 32, 2);
-    NocMessage m;
-    m.sizeBytes = 16;
-    inj.accept(m, 0);
-    inj.accept(m, 0);
-    EXPECT_FALSE(inj.canAccept());
+    // Endpoint kFirst's queue is full: a message for the port's other
+    // endpoint waits behind it too (head-of-line blocking).
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 1);
+    rig.sinkQ[0].push_back(sized(16, 1, PortRig::kFirst));
+    rig.srcQ[0].push_back(sized(16, 2, PortRig::kFirst + n - 1));
+    for (Cycle c = 0; c < 20; ++c)
+        rig.tick(c);
+    EXPECT_EQ(rig.ch.flitsInFlight(), 1u); // waits on the wire
+    EXPECT_EQ(rig.sinkQ[n - 1].size(), n == 1 ? 1u : 0u);
+    rig.sinkQ[0].pop_front();
+    for (Cycle c = 20; c < 40; ++c)
+        rig.tick(c);
+    ASSERT_EQ(rig.sinkQ[n - 1].size(), 1u);
+    EXPECT_EQ(rig.sinkQ[n - 1].front().token, 2u);
 }
 
-// --------------------------------------------------------- Concentrator
-
-TEST(Concentrator, RoundRobinAmongSources)
+TEST_P(Ports, SourceRoundRobinsAmongQueues)
 {
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    ConcentratorAdapter conc(&ch, 32, 2, 4);
-    EjectionAdapter ej(&ch, 8);
-
-    NocMessage m;
-    m.sizeBytes = 16;
-    m.token = 100;
-    conc.accept(0, m, 0);
-    m.token = 200;
-    conc.accept(1, m, 0);
-    m.token = 101;
-    conc.accept(0, m, 0);
+    // Tokens 100 and 101 queue at endpoint 0, 200 at the port's last
+    // endpoint (behind 100 when they share the one queue): the port
+    // delivers 100, 200, 101 either way.
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 8);
+    rig.srcQ[0].push_back(sized(16, 100, PortRig::kFirst));
+    rig.srcQ[n - 1].push_back(sized(16, 200, PortRig::kFirst));
+    rig.srcQ[0].push_back(sized(16, 101, PortRig::kFirst));
 
     std::vector<std::uint64_t> order;
     for (Cycle c = 0; c < 30; ++c) {
-        conc.tick(c);
-        ej.tick(c);
-        while (ej.hasMessage())
-            order.push_back(ej.pop().token);
+        rig.tick(c);
+        for (const NocMessage &m : rig.take())
+            order.push_back(m.token);
     }
-    ASSERT_EQ(order.size(), 3u);
-    // Fair interleave: 100, 200, 101.
-    EXPECT_EQ(order[0], 100u);
-    EXPECT_EQ(order[1], 200u);
-    EXPECT_EQ(order[2], 101u);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{100, 200, 101}));
 }
 
-TEST(Concentrator, PacketsNeverInterleave)
+TEST_P(Ports, SourcePacketsNeverInterleave)
 {
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    ConcentratorAdapter conc(&ch, 32, 2, 4);
-    // Multi-flit packets from both sources.
-    NocMessage m;
-    m.sizeBytes = 144; // 5 flits
-    m.token = 1;
-    conc.accept(0, m, 0);
-    m.token = 2;
-    conc.accept(1, m, 0);
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 8);
+    // Multi-flit packets from the first and the last queue.
+    rig.srcQ[0].push_back(sized(144, 1)); // 5 flits
+    rig.srcQ[n - 1].push_back(sized(144, 2));
 
     // Drain raw flits and check head/tail bracketing.
     int in_packet = 0;
     int completed = 0;
     for (Cycle c = 0; c < 40; ++c) {
-        conc.tick(c);
-        while (ch.hasArrival(c)) {
-            const Flit f = ch.receive(c);
-            ch.returnCredit(c);
+        rig.src.tick(c);
+        while (rig.ch.hasArrival(c)) {
+            const Flit f = rig.ch.receive(c);
+            rig.ch.returnCredit(c);
             if (f.head) {
                 EXPECT_EQ(in_packet, 0);
                 in_packet = 1;
@@ -280,41 +326,53 @@ TEST(Concentrator, PacketsNeverInterleave)
     EXPECT_EQ(completed, 2);
 }
 
-TEST(Distributor, RoutesToLocalQueues)
+TEST_P(Ports, SinkRoutesByDestination)
 {
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    InjectionAdapter inj(&ch, 32, 8);
-    // dst -> local queue: dst % 2 over destinations 0..5.
-    DistributorAdapter dist(&ch, 2, 4, {0, 1, 0, 1, 0, 1});
-    NocMessage m;
-    m.sizeBytes = 16;
-    m.dst = 5; // local 1
-    inj.accept(m, 0);
-    m.dst = 4; // local 0
-    inj.accept(m, 0);
-    for (Cycle c = 0; c < 20; ++c) {
-        inj.tick(c);
-        dist.tick(c);
+    // Two messages, for endpoints kFirst + 1 and kFirst. A
+    // two-endpoint sink files each under its dst; a one-endpoint sink
+    // keeps both, whatever their dst says (a bypassed MC-router
+    // forwards input i to output i).
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 4);
+    rig.srcQ[0].push_back(sized(16, 1, PortRig::kFirst + 1));
+    rig.srcQ[0].push_back(sized(16, 2, PortRig::kFirst));
+    for (Cycle c = 0; c < 20; ++c)
+        rig.tick(c);
+    if (n == 1) {
+        ASSERT_EQ(rig.sinkQ[0].size(), 2u);
+        EXPECT_EQ(rig.sinkQ[0][0].dst, PortRig::kFirst + 1);
+        EXPECT_EQ(rig.sinkQ[0][1].dst, PortRig::kFirst);
+    } else {
+        ASSERT_EQ(rig.sinkQ[0].size(), 1u);
+        ASSERT_EQ(rig.sinkQ[1].size(), 1u);
+        EXPECT_EQ(rig.sinkQ[0].front().dst, PortRig::kFirst);
+        EXPECT_EQ(rig.sinkQ[1].front().dst, PortRig::kFirst + 1);
     }
-    ASSERT_TRUE(dist.hasMessage(0));
-    ASSERT_TRUE(dist.hasMessage(1));
-    EXPECT_EQ(dist.pop(1).dst, 5u);
-    EXPECT_EQ(dist.pop(0).dst, 4u);
+    // Delivery names the queue each message left.
+    rig.take();
+    const std::uint32_t last = PortRig::kFirst + n - 1;
+    EXPECT_EQ(rig.arrivedAt,
+              (std::vector<std::uint32_t>{PortRig::kFirst, last}));
+}
+
+TEST(PortsDeath, SinkRejectsAForeignDestination)
+{
+    // Only a multi-endpoint sink reads dst; one outside its range is
+    // a routing error.
+    PortRig rig(2, 4);
+    rig.srcQ[0].push_back(sized(16, 1, PortRig::kFirst + 2));
+    EXPECT_DEATH(
+        {
+            for (Cycle c = 0; c < 20; ++c)
+                rig.tick(c);
+        },
+        "sink port");
 }
 
 // --------------------------------------------- checkpoint loader bounds
 
 namespace
 {
-
-/** @p n default messages as a queue payload. */
-void
-writeQueue(CkptWriter &w, std::uint64_t n)
-{
-    w.varint(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        ckptValue(w, NocMessage{});
-}
 
 /** Load @p w's bytes into @p c; true when the reader accepts them. */
 template <typename C>
@@ -332,73 +390,54 @@ loads(C &c, const CkptWriter &w)
 
 } // namespace
 
-TEST(CkptBounds, InjectionQueueCap)
+TEST_P(Ports, CkptSourceCursor)
 {
-    // Queue cap 2: two messages restore, three fail the reader.
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    InjectionAdapter inj(&ch, 32, 2);
-    for (std::uint64_t n : {2, 3}) {
+    // The port's last queue holds two one-flit messages, its first
+    // (when distinct) none.
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 2);
+    rig.srcQ[n - 1].push_back(sized(16, 1));
+    rig.srcQ[n - 1].push_back(sized(16, 2));
+    const auto payload = [](std::uint32_t cursor, std::uint32_t sent) {
         CkptWriter w;
-        writeQueue(w, n);
-        w.u32(0);
-        EXPECT_EQ(loads(inj, w), n == 2) << n;
-    }
-    // A packet cursor with nothing queued also fails.
-    CkptWriter w;
-    writeQueue(w, 0);
-    w.u32(1);
-    EXPECT_FALSE(loads(inj, w));
-}
-
-TEST(CkptBounds, EjectionQueueCap)
-{
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    EjectionAdapter ej(&ch, 2);
-    for (std::uint64_t n : {2, 3}) {
-        CkptWriter w;
-        writeQueue(w, n);
-        ckptValue(w, NocMessage{});
-        EXPECT_EQ(loads(ej, w), n == 2) << n;
-    }
-}
-
-TEST(CkptBounds, ConcentratorQueueCapAndCursor)
-{
-    // Two sources, cap 2 each; the second source's queue carries the
-    // count under test.
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    ConcentratorAdapter conc(&ch, 32, 2, 2);
-    const auto payload = [](std::uint64_t n, std::uint32_t cursor) {
-        CkptWriter w;
-        writeQueue(w, 0);
-        writeQueue(w, n);
         w.u32(0);      // arbiter pointer
-        w.u32(cursor); // current source
-        w.u32(0);      // flits sent
+        w.u32(cursor); // current queue
+        w.u32(sent);   // flits sent
         return w;
     };
-    EXPECT_TRUE(loads(conc, payload(2, kInvalidId)));
-    EXPECT_TRUE(loads(conc, payload(2, 1)));
-    EXPECT_FALSE(loads(conc, payload(3, kInvalidId)));
-    // A cursor on an empty queue would make tick() read its front.
-    EXPECT_FALSE(loads(conc, payload(2, 0)));
-    EXPECT_FALSE(loads(conc, payload(2, 2)));
+    EXPECT_TRUE(loads(rig.src, payload(kInvalidId, 0)));
+    EXPECT_TRUE(loads(rig.src, payload(n - 1, 0)));
+    // A cursor on a missing or empty queue would make tick() read its
+    // front; a packet cursor must lie inside the current packet.
+    EXPECT_FALSE(loads(rig.src, payload(n, 0)));
+    if (n > 1) {
+        EXPECT_FALSE(loads(rig.src, payload(0, 0)));
+    }
+    EXPECT_FALSE(loads(rig.src, payload(n - 1, 1)));
+    EXPECT_FALSE(loads(rig.src, payload(kInvalidId, 1)));
 }
 
-TEST(CkptBounds, DistributorQueueCap)
+TEST_P(Ports, CkptSinkLatch)
 {
-    FlitChannel ch(1, 1, 8, 1.0, 32);
-    DistributorAdapter dist(&ch, 2, 2, {0, 1});
-    for (std::uint64_t n : {2, 3}) {
+    const std::uint32_t n = GetParam();
+    PortRig rig(n, 2);
+    const auto payload = [](std::uint32_t local, bool pending) {
         CkptWriter w;
-        writeQueue(w, n);
-        writeQueue(w, 0);
         ckptValue(w, NocMessage{});
-        w.u32(0);
-        w.b(false);
-        EXPECT_EQ(loads(dist, w), n == 2) << n;
-    }
+        w.u32(local);
+        w.b(pending);
+        return w;
+    };
+    EXPECT_TRUE(loads(rig.sink, payload(n - 1, true)));
+    EXPECT_TRUE(loads(rig.sink, payload(n, false)));
+    EXPECT_FALSE(loads(rig.sink, payload(n, true)));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EndpointsPerPort, Ports, ::testing::Values(1u, 2u),
+    [](const ::testing::TestParamInfo<std::uint32_t> &info) {
+        return "x" + std::to_string(info.param);
+    });
 
 TEST(CkptBounds, ChannelCredits)
 {

@@ -245,6 +245,11 @@ TEST_P(NetworkFuzz, SimultaneousRequestReplyConservation)
     int req_out = 0;
     int rep_in = 0;
     int rep_out = 0;
+    net->setReplyHandler(
+        [&rep_out](const NocMessage &m, SmId at, Cycle) {
+            EXPECT_EQ(m.dst, at) << "misrouted reply";
+            ++rep_out;
+        });
     for (Cycle c = 0; c < 6000; ++c) {
         if (req_in < 300) {
             const SmId sm = static_cast<SmId>(rng.below(p.numSms));
@@ -278,12 +283,6 @@ TEST_P(NetworkFuzz, SimultaneousRequestReplyConservation)
             while (net->hasRequestFor(s)) {
                 ASSERT_EQ(net->popRequestFor(s, c).dst, s);
                 ++req_out;
-            }
-        }
-        for (SmId sm = 0; sm < p.numSms; ++sm) {
-            while (net->hasReplyFor(sm)) {
-                ASSERT_EQ(net->popReplyFor(sm, c).dst, sm);
-                ++rep_out;
             }
         }
     }

@@ -6,11 +6,11 @@
  * policies), bit-exact equivalence of the fig11 scenario with a
  * hand-built reference grid, the `report { }` figure tables (parse
  * errors, round trip, fill checks, recomputation on real runs),
- * emitter golden files, and unknown-key error messages naming the
- * nearest valid key.
+ * emitter golden files, the quickstart scenario's ledger CSV, and
+ * unknown-key error messages naming the nearest valid key.
  *
  * Set AMSC_UPDATE_GOLDEN=1 to rewrite tests/golden/ from the current
- * emitters.
+ * emitters and simulator.
  */
 
 #include <gtest/gtest.h>
@@ -945,6 +945,24 @@ TEST(Emit, CsvAndJsonMatchGoldenFiles)
     checkGolden("emit.csv", scenario::emitCsv(points, results));
     checkGolden("emit.json",
                 scenario::emitJson("golden", points, results));
+}
+
+TEST(Ledger, QuickstartSmokeCsvMatchesGolden)
+{
+    // The scenario ledger: `amsc sweep scenarios/quickstart.scn
+    // --smoke format=csv`, regenerated in process and byte-compared
+    // with the committed output. A change to any simulated result
+    // shows up here; one that is meant updates the file.
+    Scenario s = Scenario::load(kSourceDir + "/scenarios/quickstart.scn");
+    s.setSmoke(true);
+    const auto expanded = s.expand();
+    std::vector<SweepPoint> points;
+    for (const ExpandedPoint &ep : expanded)
+        points.push_back(ep.point);
+    const std::vector<RunResult> results = SweepRunner(2).run(points);
+    checkGolden("scenarios/quickstart.csv",
+                scenario::emitCsv(scenario::emitPoints(expanded),
+                                  results));
 }
 
 TEST(Emit, StableColumnOrder)
