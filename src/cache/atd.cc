@@ -1,6 +1,7 @@
 #include "cache/atd.hh"
 
 #include "common/bitutils.hh"
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace amsc
@@ -12,10 +13,12 @@ Atd::Atd(const AtdParams &params)
                                       params.duelSets))
 {
     if (params_.sampledSets == 0 || params_.assoc == 0)
-        fatal("ATD requires non-zero sampled sets and associativity");
+        throw ConfigError(
+            "ATD requires non-zero sampled sets and associativity");
     if (params_.sampledSets > params_.sliceSets)
-        fatal("ATD cannot sample more sets (%u) than the slice has (%u)",
-              params_.sampledSets, params_.sliceSets);
+        throw ConfigError(strfmt(
+            "ATD cannot sample more sets (%u) than the slice has (%u)",
+            params_.sampledSets, params_.sliceSets));
     stride_ = params_.sliceSets / params_.sampledSets;
     if (stride_ == 0)
         stride_ = 1;

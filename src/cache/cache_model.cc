@@ -1,6 +1,7 @@
 #include "cache/cache_model.hh"
 
 #include "common/bitutils.hh"
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace amsc
@@ -10,14 +11,15 @@ std::uint32_t
 CacheParams::numSets() const
 {
     if (sizeBytes == 0 || assoc == 0 || lineBytes == 0)
-        fatal("cache '%s': zero geometry parameter", name.c_str());
+        throw ConfigError(strfmt("cache '%s': zero geometry parameter",
+                                 name.c_str()));
     const std::uint64_t lines = sizeBytes / lineBytes;
     if (lines == 0 || lines % assoc != 0)
-        fatal("cache '%s': size %llu not divisible into %u-way sets of "
-              "%u B lines",
-              name.c_str(),
-              static_cast<unsigned long long>(sizeBytes), assoc,
-              lineBytes);
+        throw ConfigError(strfmt(
+            "cache '%s': size %llu not divisible into %u-way sets of "
+            "%u B lines",
+            name.c_str(), static_cast<unsigned long long>(sizeBytes),
+            assoc, lineBytes));
     return static_cast<std::uint32_t>(lines / assoc);
 }
 

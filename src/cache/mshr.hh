@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/ckpt.hh"
+#include "common/error.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 
@@ -89,7 +90,8 @@ class MshrFile
         : numEntries_(num_entries), targetsPerEntry_(targets_per_entry)
     {
         if (num_entries == 0 || targets_per_entry == 0)
-            fatal("MshrFile requires non-zero entries and targets");
+            throw ConfigError(
+                "MshrFile requires non-zero entries and targets");
         entries_.resize(num_entries);
         targets_.reset(new Target[std::size_t{num_entries} *
                                   targets_per_entry]);

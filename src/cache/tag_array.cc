@@ -1,5 +1,6 @@
 #include "cache/tag_array.hh"
 
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace amsc
@@ -14,8 +15,9 @@ TagArray::TagArray(std::uint32_t num_sets, std::uint32_t assoc,
       bypass_(BypassPredictor::create(bypass))
 {
     if (num_sets == 0 || assoc == 0)
-        fatal("TagArray requires non-zero sets (%u) and assoc (%u)",
-              num_sets, assoc);
+        throw ConfigError(
+            strfmt("TagArray requires non-zero sets (%u) and assoc (%u)",
+                   num_sets, assoc));
     lines_.resize(static_cast<std::size_t>(num_sets) * assoc);
     victimScratch_.reserve(assoc);
     repl_->bind(num_sets, assoc);

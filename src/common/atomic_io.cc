@@ -155,7 +155,7 @@ IoFaultInjector::onRename(const std::string &path)
 }
 
 void
-writeFileAtomic(const std::string &path, const std::string &content)
+writeFileAtomic(const std::string &path, std::string_view content)
 {
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
@@ -196,7 +196,7 @@ renameFileDurable(const std::string &from, const std::string &to)
 }
 
 void
-appendFileDurable(const std::string &path, const std::string &content)
+appendFileDurable(const std::string &path, std::string_view content)
 {
     const int fd = ::open(path.c_str(),
                           O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
@@ -216,7 +216,7 @@ appendFileDurable(const std::string &path, const std::string &content)
 }
 
 void
-checkedStreamWrite(std::ostream &os, const std::string &content,
+checkedStreamWrite(std::ostream &os, std::string_view content,
                    const std::string &path)
 {
     IoFaultInjector &inj = IoFaultInjector::instance();

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace amsc
 {
@@ -91,7 +92,7 @@ class IoFaultInjector
  * destination is never left half-written.
  */
 void writeFileAtomic(const std::string &path,
-                     const std::string &content);
+                     std::string_view content);
 
 /**
  * rename(2) @p from over @p to, fsync the parent directory and
@@ -110,7 +111,7 @@ void renameFileDurable(const std::string &from,
  * returning. Throws IoError on failure.
  */
 void appendFileDurable(const std::string &path,
-                       const std::string &content);
+                       std::string_view content);
 
 /**
  * Write @p content to @p chunk-checked ostream @p os standing for
@@ -118,7 +119,7 @@ void appendFileDurable(const std::string &path,
  * stream state so a short write surfaces as IoError instead of
  * silent truncation.
  */
-void checkedStreamWrite(std::ostream &os, const std::string &content,
+void checkedStreamWrite(std::ostream &os, std::string_view content,
                         const std::string &path);
 
 } // namespace amsc

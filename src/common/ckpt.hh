@@ -1,15 +1,16 @@
 /**
  * @file
- * Checkpoint value codec: the byte-level archive primitives behind
- * GpuSystem::checkpoint()/restore() and the sweep journal.
+ * The byte codec: the one encoder and decoder of every persisted
+ * byte -- checkpoints (GpuSystem::checkpoint()/restore() and their
+ * frame), the sweep journal, trace files (trace/trace_format.hh) and
+ * the RunResult encoding that identicalResults() compares.
  *
- * The encoding reuses the trace-format idiom (trace/trace_format.hh):
- * little-endian fixed-width scalars, LEB128 varints with zigzag for
+ * Little-endian fixed-width scalars, LEB128 varints with zigzag for
  * signed values, doubles as raw IEEE-754 bit patterns (so restored
  * statistics are *bit-identical*, never re-rounded). CkptWriter
- * accumulates the payload in memory; the container layer
- * (sim/checkpoint, sim/journal) frames it with magic, version and a
- * CRC-32 (common/crc32.hh). CkptReader walks a byte span and throws
+ * accumulates bytes in memory; the container layers (sim/checkpoint,
+ * sim/journal) frame them with magic, version and a CRC-32
+ * (common/crc32.hh). CkptReader walks a byte span and throws
  * FormatError -- carrying the offending byte offset -- on any
  * overrun, bad count or malformed varint, so a truncated or corrupt
  * artifact is never silently half-restored.
@@ -30,6 +31,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -137,6 +139,9 @@ class CkptWriter
             bytes(v.data(), v.size() * sizeof(T));
     }
 
+    /** Pre-size the buffer for @p n bytes (no regrowth copies). */
+    void reserve(std::size_t n) { buf_.reserve(n); }
+
     std::size_t size() const { return buf_.size(); }
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
     std::vector<std::uint8_t> takeBuffer() { return std::move(buf_); }
@@ -149,15 +154,28 @@ class CkptWriter
 class CkptReader
 {
   public:
+    /**
+     * Read [@p data, @p data + @p n). @p origin names the source in
+     * errors and must outlive the reader; @p base is the file offset
+     * of @p data, so error offsets are absolute file offsets when the
+     * span is a slice of a file.
+     */
     CkptReader(const std::uint8_t *data, std::size_t n,
-               std::string origin = "<checkpoint>")
-        : begin_(data), p_(data), end_(data + n),
-          origin_(std::move(origin))
+               std::string_view origin = "<checkpoint>",
+               std::uint64_t base = 0)
+        : begin_(data), p_(data), end_(data + n), origin_(origin),
+          base_(base)
     {}
 
+    /** Absolute offset of the next unread byte. */
     std::uint64_t offset() const
     {
-        return static_cast<std::uint64_t>(p_ - begin_);
+        return base_ + static_cast<std::uint64_t>(p_ - begin_);
+    }
+
+    std::size_t remaining() const
+    {
+        return static_cast<std::size_t>(end_ - p_);
     }
 
     bool atEnd() const { return p_ == end_; }
@@ -165,7 +183,7 @@ class CkptReader
     [[noreturn]] void
     fail(const std::string &what) const
     {
-        throw FormatError(origin_, offset(), what);
+        throw FormatError(std::string(origin_), offset(), what);
     }
 
     std::uint8_t
@@ -249,6 +267,16 @@ class CkptReader
         return s;
     }
 
+    /** Mirror of CkptWriter::bytes(): copy the next @p n bytes. */
+    void
+    bytes(void *dst, std::size_t n)
+    {
+        need(n, "bytes");
+        if (n != 0)
+            std::memcpy(dst, p_, n);
+        p_ += n;
+    }
+
     template <typename T>
     void
     pod(T &v)
@@ -283,8 +311,16 @@ class CkptReader
     const std::uint8_t *begin_;
     const std::uint8_t *p_;
     const std::uint8_t *end_;
-    std::string origin_;
+    std::string_view origin_;
+    std::uint64_t base_;
 };
+
+/** @p bytes as characters, for the file writers of common/atomic_io. */
+inline std::string_view
+charView(const std::vector<std::uint8_t> &bytes)
+{
+    return {reinterpret_cast<const char *>(bytes.data()), bytes.size()};
+}
 
 // ---- generic value codec ---------------------------------------------
 

@@ -1,11 +1,14 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+ * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) and 64-bit
+ * FNV-1a.
  *
- * Shared integrity check of the checkpoint container
+ * The CRC is the shared integrity check of the checkpoint container
  * (sim/checkpoint) and the sweep journal's record framing
  * (sim/journal): both append a CRC of the payload so a torn or
  * bit-flipped artifact is detected instead of parsed as valid.
+ * FNV-1a digests identities: the checkpoint's configuration hash and
+ * the journal's sweep hash.
  */
 
 #ifndef AMSC_COMMON_CRC32_HH
@@ -55,6 +58,21 @@ inline std::uint32_t
 crc32(const void *data, std::size_t len)
 {
     return crc32Update(0, data, len);
+}
+
+/** FNV-1a offset basis: the seed of a fresh fnv1a() digest. */
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/** Extend a running 64-bit FNV-1a digest over @p len bytes. */
+inline std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
 } // namespace amsc

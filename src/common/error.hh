@@ -2,10 +2,13 @@
  * @file
  * Typed simulator error hierarchy.
  *
- * Library code (trace/scenario/obs read-write paths, the checkpoint
- * codec, the sweep journal) throws these instead of calling fatal(),
- * so a corrupt input or failing I/O kills one sweep point -- not the
- * fleet. The taxonomy (docs/robustness.md):
+ * Every failure that is not a simulator bug throws one of these:
+ * configuration checks, component constructors, the trace, scenario
+ * and obs read/write paths, the checkpoint codec and the sweep
+ * journal. A bad configuration, a corrupt input or failing I/O thus
+ * kills one sweep point -- not the fleet: SweepRunner records it
+ * under sweep_on_error=skip and rethrows it under abort. The
+ * taxonomy (docs/robustness.md):
  *
  *   SimError     -- base of everything the sweep layer can degrade on.
  *   IoError      -- an OS-level read/write/rename failure; carries the
@@ -13,11 +16,12 @@
  *   FormatError  -- structurally invalid input (trace file, scenario
  *                   text, checkpoint, journal); carries the path and
  *                   the byte offset of the offending datum.
- *   ConfigError  -- an invalid configuration key or value.
+ *   ConfigError  -- an invalid configuration key or value, or an
+ *                   invalid command line.
  *
- * fatal() remains for CLI/driver-level errors where exiting *is* the
- * contract; `amsc` catches SimError at its top level and exits 1 with
- * the same user-visible message shape.
+ * A simulator bug calls panic() (common/log.hh), which aborts.
+ * `amsc` catches SimError at its top level and exits 1 with one
+ * `amsc: error: ...` line.
  */
 
 #ifndef AMSC_COMMON_ERROR_HH

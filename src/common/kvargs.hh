@@ -59,7 +59,8 @@ class KvArgs
 
     /**
      * Parse a scenario file in the nested key=value dialect (see the
-     * file comment); fatal() on I/O or syntax errors.
+     * file comment); throws IoError when @p path cannot be read and
+     * FormatError on a syntax error.
      *
      * @param indexed block names that auto-index when repeated
      *        (every other repeated block merges).
@@ -84,14 +85,17 @@ class KvArgs
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
-    /** Integer value of @p key; fatal() on malformed value. */
+    /** Integer value of @p key; ConfigError on a malformed value. */
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
 
-    /** Unsigned value of @p key; fatal() on malformed/negative value. */
+    /**
+     * Unsigned value of @p key; ConfigError on a malformed or negative
+     * value.
+     */
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t def) const;
 
-    /** Floating-point value of @p key; fatal() on malformed value. */
+    /** Floating-point value of @p key; ConfigError on a malformed value. */
     double getDouble(const std::string &key, double def) const;
 
     /** Boolean value: accepts 0/1/true/false/yes/no. */

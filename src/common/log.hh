@@ -4,9 +4,11 @@
  *
  * panic()  -- simulator bug; something that should never happen did.
  *             Aborts so a debugger / core dump can inspect the state.
- * fatal()  -- user error (bad configuration, invalid arguments); exits
- *             with an error code.
  * warn()   -- questionable but continuable condition.
+ *
+ * Every other failure -- a bad configuration, a corrupt input, a
+ * failed write -- throws a SimError (common/error.hh), so it fails
+ * one sweep point rather than the process.
  *
  * All message functions accept printf-style format strings.
  */
@@ -27,12 +29,6 @@ namespace amsc
  * regardless of user input.
  */
 [[noreturn]] void panic(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/**
- * Report an unrecoverable user/configuration error and exit(1).
- */
-[[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Report a continuable, suspicious condition to stderr. */

@@ -28,7 +28,7 @@ assignCtas(CtaPolicy policy, std::uint32_t num_ctas,
            const std::vector<SmId> &sm_ids)
 {
     if (num_sms == 0 || sm_ids.size() < num_sms)
-        fatal("assignCtas: bad SM count");
+        panic("assignCtas: bad SM count");
     const std::uint32_t clusters = static_cast<std::uint32_t>(
         divCeil(num_sms, sms_per_cluster));
 

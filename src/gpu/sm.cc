@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace amsc
@@ -28,8 +29,9 @@ Sm::launchKernel(const KernelInfo *kernel, std::vector<CtaId> ctas,
     pendingCtas_.assign(ctas.begin(), ctas.end());
     if (kernel_ != nullptr &&
         kernel_->warpsPerCta > params_.maxResidentWarps) {
-        fatal("SM%u: CTA needs %u warps, SM holds %u", params_.id,
-              kernel_->warpsPerCta, params_.maxResidentWarps);
+        throw ConfigError(strfmt("SM%u: CTA needs %u warps, SM holds %u",
+                                 params_.id, kernel_->warpsPerCta,
+                                 params_.maxResidentWarps));
     }
     activateCtas(now);
 }

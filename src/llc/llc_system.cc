@@ -52,7 +52,7 @@ LlcSystem::LlcSystem(const LlcParams &params,
     const auto &mp = mapping.params();
     const std::uint32_t num_slices = mp.numMcs * mp.slicesPerMc;
     if (num_slices != params_.profiler.numSlices)
-        fatal("LLC: profiler slice count %u != %u",
+        panic("LLC: profiler slice count %u != %u",
               params_.profiler.numSlices, num_slices);
 
     auto write_through = [this](AppId app) {
@@ -95,8 +95,9 @@ LlcSystem::LlcSystem(const LlcParams &params,
     }
     if (adaptive_count > 0 &&
         (adaptive_count > 1 || params_.appPolicies.size() > 1))
-        fatal("adaptive LLC policy supports a single application; use "
-              "forced per-app modes for multi-program runs");
+        throw ConfigError(
+            "adaptive LLC policy supports a single application; use "
+            "forced per-app modes for multi-program runs");
 
     applyNetworkMode();
     if (adaptive_count == 1)

@@ -11,7 +11,7 @@ LlcProfiler::LlcProfiler(const ProfilerParams &params)
     : params_(params), atd_(params.atd)
 {
     if (params_.numSlices == 0 || params_.numClusters == 0)
-        fatal("profiler requires slices and clusters");
+        panic("profiler requires slices and clusters");
     sliceAccessCounts_.assign(params_.numSlices, 0);
     lspCounters_.assign(params_.numMcs, 0);
 }

@@ -10,7 +10,7 @@ SliceMapper::SliceMapper(const AddressMapping &mapping,
     : mapping_(mapping)
 {
     if (num_apps == 0)
-        fatal("SliceMapper requires at least one application");
+        panic("SliceMapper requires at least one application");
     modes_.assign(num_apps, LlcMode::Shared);
 }
 
@@ -18,7 +18,7 @@ void
 SliceMapper::setMode(AppId app, LlcMode mode)
 {
     if (app >= modes_.size())
-        fatal("SliceMapper: app %u out of range", app);
+        panic("SliceMapper: app %u out of range", app);
     modes_[app] = mode;
 }
 

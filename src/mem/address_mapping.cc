@@ -1,6 +1,7 @@
 #include "mem/address_mapping.hh"
 
 #include "common/bitutils.hh"
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace amsc
@@ -27,10 +28,11 @@ AddressMapping::AddressMapping(const MappingParams &params)
         !isPowerOfTwo(params_.banksPerMc) ||
         !isPowerOfTwo(params_.linesPerRow) ||
         !isPowerOfTwo(params_.slicesPerMc)) {
-        fatal("address mapping requires power-of-two geometry "
-              "(mcs=%u banks=%u lines/row=%u slices/mc=%u)",
-              params_.numMcs, params_.banksPerMc, params_.linesPerRow,
-              params_.slicesPerMc);
+        throw ConfigError(
+            strfmt("address mapping requires power-of-two geometry "
+                   "(mcs=%u banks=%u lines/row=%u slices/mc=%u)",
+                   params_.numMcs, params_.banksPerMc,
+                   params_.linesPerRow, params_.slicesPerMc));
     }
     colBits_ = floorLog2(params_.linesPerRow);
     mcBits_ = floorLog2(params_.numMcs);

@@ -12,7 +12,7 @@ MemorySystem::MemorySystem(std::uint32_t num_mcs,
     : mapping_(mapping)
 {
     if (num_mcs != mapping.params().numMcs)
-        fatal("memory system MC count %u != mapping MC count %u",
+        panic("memory system MC count %u != mapping MC count %u",
               num_mcs, mapping.params().numMcs);
     mcs_.reserve(num_mcs);
     for (McId i = 0; i < num_mcs; ++i)

@@ -11,7 +11,7 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
 {
     const std::uint32_t c = params_.concentration;
     if (c == 0)
-        fatal("C-Xbar requires concentration >= 1");
+        panic("C-Xbar requires concentration >= 1");
     const std::uint32_t sms = params_.numSms;
     const std::uint32_t slices = params_.numSlices();
     const auto sm_ports = static_cast<std::uint32_t>(divCeil(sms, c));

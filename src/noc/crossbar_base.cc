@@ -52,7 +52,7 @@ CrossbarBase::CrossbarBase(const NocParams &params,
       repSinkQ_(params.numSms, Ring<NocMessage>(params.ejectQueueCap))
 {
     if (params_.numSms == 0 || params_.numSlices() == 0)
-        fatal("NoC requires SMs and slices");
+        panic("NoC requires SMs and slices");
 }
 
 FlitChannel *

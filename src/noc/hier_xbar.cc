@@ -1,5 +1,6 @@
 #include "noc/hier_xbar.hh"
 
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace amsc
@@ -14,9 +15,9 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
     const std::uint32_t spm = params_.slicesPerMc;
 
     if (spm != clusters)
-        fatal("H-Xbar co-design requires slicesPerMc (%u) == "
-              "numClusters (%u)",
-              spm, clusters);
+        throw ConfigError(strfmt("H-Xbar co-design requires "
+                                 "slicesPerMc (%u) == numClusters (%u)",
+                                 spm, clusters));
 
     const std::uint32_t sms = params_.numSms;
     const std::uint32_t slices = params_.numSlices();

@@ -141,6 +141,15 @@ struct RouterActivity
     std::uint64_t bypassTraversals = 0;
 };
 
+#ifdef __LP64__
+// Field-drift guard: these field lists are also RunResult's journal
+// encoding and what identicalResults() compares. Other ABIs may pad
+// differently, so the size is pinned on LP64 only.
+static_assert(sizeof(RouterActivity) == 80,
+              "add the new RouterActivity field to both ckptValue() "
+              "lists");
+#endif
+
 inline void
 ckptValue(CkptWriter &w, const RouterActivity &a)
 {
@@ -168,6 +177,11 @@ struct LinkActivity
     std::uint32_t widthBytes = 32;
     std::uint64_t flitTraversals = 0;
 };
+
+#ifdef __LP64__
+static_assert(sizeof(LinkActivity) == 24,
+              "add the new LinkActivity field to both ckptValue() lists");
+#endif
 
 inline void
 ckptValue(CkptWriter &w, const LinkActivity &a)

@@ -132,25 +132,24 @@ class Network
      * Earliest cycle at which tick() can change observable state,
      * assuming no further injections; kNoCycle when nothing can ever
      * happen without external input. Drives the `sim_mode=event`
-     * jumps, so the contract is *never late*: advertising a cycle after the first real state
-     * change diverges the simulation. Advertising early (down to the
-     * conservative `now + 1` of this default) is always safe, only
-     * slow. Every shipped topology is exact: the ideal NoC advertises
-     * its delay-queue fronts, and the crossbars take the min over
-     * their live components -- router head-of-line flits, port
-     * sendable cycles, and the in-flight flit *and* credit fronts of
-     * each live component's channels (credit absorption mutates
-     * checkpointed state and flips drained(), which the LLC
-     * reconfiguration FSM polls). Skipping idle components leaves the
-     * min unchanged: a flit in flight always has a live receiver and
-     * a credit in flight a live sender. See docs/performance.md ("The
-     * event core", optimization 5) for the full rules.
+     * jumps, so the contract is *never late*: advertising a cycle
+     * after the first real state change diverges the simulation.
+     * Advertising early is always safe, only slow -- but a topology
+     * that advertises `now + 1` while anything is in flight turns
+     * the event driver into the tick loop, so there is no default:
+     * each topology states its own. Every shipped one is exact: the
+     * ideal NoC advertises its delay-queue fronts, and the crossbars
+     * take the min over their live components -- router head-of-line
+     * flits, port sendable cycles, and the in-flight flit *and*
+     * credit fronts of each live component's channels (credit
+     * absorption mutates checkpointed state and flips drained(),
+     * which the LLC reconfiguration FSM polls). Skipping idle
+     * components leaves the min unchanged: a flit in flight always
+     * has a live receiver and a credit in flight a live sender. See
+     * docs/performance.md ("The event core", optimization 5) for the
+     * full rules.
      */
-    virtual Cycle
-    nextEventCycle(Cycle now) const
-    {
-        return drained() ? kNoCycle : now + 1;
-    }
+    virtual Cycle nextEventCycle(Cycle now) const = 0;
 
     /**
      * Account @p n externally skipped idle cycles (per-cycle activity

@@ -10,9 +10,9 @@ Router::Router(const RouterParams &params,
     : params_(params), routes_(std::move(routes))
 {
     if (params_.numInPorts == 0 || params_.numOutPorts == 0)
-        fatal("router '%s' needs ports", params_.name.c_str());
+        panic("router '%s' needs ports", params_.name.c_str());
     if (params_.numVcs != 1)
-        fatal("router '%s': only 1 VC per port is modeled (Table 1)",
+        panic("router '%s': only 1 VC per port is modeled (Table 1)",
               params_.name.c_str());
     inputs_.resize(params_.numInPorts);
     for (auto &in : inputs_)

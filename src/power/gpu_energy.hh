@@ -42,7 +42,13 @@ struct GpuActivity
 /*
  * The double member disqualifies GpuActivity from raw pod()
  * serialization (no unique object representation); encode field-wise.
+ * These lists are also RunResult's journal encoding and what
+ * identicalResults() compares; the LP64 size pin catches a new field.
  */
+#ifdef __LP64__
+static_assert(sizeof(GpuActivity) == 48,
+              "add the new GpuActivity field to both ckptValue() lists");
+#endif
 inline void
 ckptValue(CkptWriter &w, const GpuActivity &a)
 {

@@ -263,21 +263,21 @@ namespace
 {
 
 bool
-anyError(const std::vector<std::string> *errors)
+anyError(const std::vector<std::string> &errors)
 {
-    if (!errors)
-        return false;
-    for (const std::string &e : *errors) {
+    for (const std::string &e : errors) {
         if (!e.empty())
             return true;
     }
     return false;
 }
 
+} // namespace
+
 std::string
-emitCsvImpl(const std::vector<EmitPoint> &points,
-            const std::vector<RunResult> &results,
-            const std::vector<std::string> *errors)
+emitCsv(const std::vector<EmitPoint> &points,
+        const std::vector<RunResult> &results,
+        const std::vector<std::string> &errors)
 {
     const bool with_errors = anyError(errors);
     const bool with_serving = anyServing(results);
@@ -313,37 +313,17 @@ emitCsvImpl(const std::vector<EmitPoint> &points,
                 os << "," << c.value;
         }
         if (with_errors)
-            os << "," << csvField((*errors)[i]);
+            os << "," << csvField(errors[i]);
         os << "\n";
     }
     return os.str();
 }
 
-} // namespace
-
 std::string
-emitCsv(const std::vector<EmitPoint> &points,
-        const std::vector<RunResult> &results)
-{
-    return emitCsvImpl(points, results, nullptr);
-}
-
-std::string
-emitCsv(const std::vector<EmitPoint> &points,
-        const std::vector<RunResult> &results,
-        const std::vector<std::string> &errors)
-{
-    return emitCsvImpl(points, results, &errors);
-}
-
-namespace
-{
-
-std::string
-emitJsonImpl(const std::string &scenario,
-             const std::vector<EmitPoint> &points,
-             const std::vector<RunResult> &results,
-             const std::vector<std::string> *errors)
+emitJson(const std::string &scenario,
+         const std::vector<EmitPoint> &points,
+         const std::vector<RunResult> &results,
+         const std::vector<std::string> &errors)
 {
     const bool with_errors = anyError(errors);
     const bool with_serving = anyServing(results);
@@ -370,47 +350,38 @@ emitJsonImpl(const std::string &scenario,
         }
         os << "}";
         if (with_errors)
-            os << ", \"error\": \"" << jsonEscape((*errors)[i])
-               << "\"";
+            os << ", \"error\": \"" << jsonEscape(errors[i]) << "\"";
         os << "}" << (i + 1 < points.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
     return os.str();
 }
 
-} // namespace
-
-std::string
-emitJson(const std::string &scenario,
-         const std::vector<EmitPoint> &points,
-         const std::vector<RunResult> &results)
-{
-    return emitJsonImpl(scenario, points, results, nullptr);
-}
-
-std::string
-emitJson(const std::string &scenario,
-         const std::vector<EmitPoint> &points,
-         const std::vector<RunResult> &results,
-         const std::vector<std::string> &errors)
-{
-    return emitJsonImpl(scenario, points, results, &errors);
-}
-
 std::string
 renderTable(const std::vector<EmitPoint> &points,
-            const std::vector<RunResult> &results)
+            const std::vector<RunResult> &results,
+            const std::vector<std::string> &errors)
 {
+    const bool with_errors = anyError(errors);
     std::ostringstream os;
-    os << "| point | IPC | cycles | instructions | LLC miss | final "
-          "mode |\n|---|---|---|---|---|---|\n";
+    os << "| point | IPC | cycles | instructions | LLC miss | final mode |"
+       << (with_errors ? " error |" : "")
+       << "\n|---|---|---|---|---|---|" << (with_errors ? "---|" : "")
+       << "\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const RunResult &r = results[i];
         os << "| " << points[i].label << " | "
            << strfmt("%.2f", r.ipc) << " | " << r.cycles << " | "
            << r.instructions << " | "
            << strfmt("%.3f", r.llcReadMissRate) << " | "
-           << llcModeName(r.finalMode) << " |\n";
+           << llcModeName(r.finalMode) << " |";
+        if (with_errors) {
+            // A '|' in the message would split the markdown cell.
+            std::string cell = errors[i];
+            std::replace(cell.begin(), cell.end(), '|', '/');
+            os << " " << cell << " |";
+        }
+        os << "\n";
     }
     return os.str();
 }

@@ -59,35 +59,29 @@ const std::vector<std::string> &numericColumns();
 /** The values of numericColumns() for @p r, in that order. */
 std::vector<double> numericValues(const RunResult &r);
 
+/*
+ * Failure annotations (sweep_on_error=skip): @p errors holds one
+ * SimError text per point, "" for a point that ran. When no entry is
+ * set -- or @p errors is empty -- the output has no error column;
+ * otherwise a trailing "error" column carries each failed point's
+ * text (its metric cells are the default-constructed RunResult's).
+ */
+
 /** CSV: header plus one row per point. */
 std::string emitCsv(const std::vector<EmitPoint> &points,
-                    const std::vector<RunResult> &results);
-
-/**
- * CSV with per-point failure annotations (sweep_on_error=skip). When
- * every entry of @p errors is empty the output is byte-identical to
- * the plain overload; otherwise a trailing "error" column carries
- * the SimError text of each failed point (whose metric cells are the
- * default-constructed RunResult's).
- */
-std::string emitCsv(const std::vector<EmitPoint> &points,
                     const std::vector<RunResult> &results,
-                    const std::vector<std::string> &errors);
+                    const std::vector<std::string> &errors = {});
 
 /** JSON: {"scenario": name, "points": [{label, axes, metrics}]}. */
 std::string emitJson(const std::string &scenario,
                      const std::vector<EmitPoint> &points,
-                     const std::vector<RunResult> &results);
-
-/** JSON with failure annotations; same contract as the CSV overload. */
-std::string emitJson(const std::string &scenario,
-                     const std::vector<EmitPoint> &points,
                      const std::vector<RunResult> &results,
-                     const std::vector<std::string> &errors);
+                     const std::vector<std::string> &errors = {});
 
 /** Markdown summary table (amsc run's default output). */
 std::string renderTable(const std::vector<EmitPoint> &points,
-                        const std::vector<RunResult> &results);
+                        const std::vector<RunResult> &results,
+                        const std::vector<std::string> &errors = {});
 
 /** Write @p content to @p path ("-" or "" = stdout). */
 void writeOut(const std::string &content, const std::string &path);

@@ -76,7 +76,10 @@ struct ExpandedPoint
 class Scenario
 {
   public:
-    /** Load and parse @p path; fatal() with file:line on errors. */
+    /**
+     * Load and parse @p path; throws IoError, or FormatError /
+     * ConfigError naming file:line, on errors.
+     */
     static Scenario load(const std::string &path);
 
     /**
@@ -88,8 +91,8 @@ class Scenario
                                const std::string &origin = "<scn>");
 
     /**
-     * Build from parsed keys. Every key must be consumed; unknown
-     * keys are fatal() with the nearest valid spelling.
+     * Build from parsed keys. Every key must be consumed; an unknown
+     * key throws ConfigError naming the nearest valid spelling.
      */
     static Scenario fromKv(KvArgs kv, const std::string &origin);
 

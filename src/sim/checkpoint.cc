@@ -3,6 +3,7 @@
 #include <cstring>
 #include <istream>
 
+#include "common/ckpt.hh"
 #include "common/crc32.hh"
 #include "common/error.hh"
 #include "sim/sim_config.hh"
@@ -29,42 +30,6 @@ identityExcluded(const std::string &name)
         name == "sim_mode";
 }
 
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t
-readU32(const std::string &s, std::size_t at)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(s[at + i]))
-            << (8 * i);
-    return v;
-}
-
-std::uint64_t
-readU64(const std::string &s, std::size_t at)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(s[at + i]))
-            << (8 * i);
-    return v;
-}
-
 constexpr std::size_t kMagicLen = 8;
 constexpr std::size_t kHeaderLen = kMagicLen + 4 + 8 + 8;
 
@@ -73,12 +38,9 @@ constexpr std::size_t kHeaderLen = kMagicLen + 4 + 8 + 8;
 std::uint64_t
 configIdentityHash(const SimConfig &cfg)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis
+    std::uint64_t h = kFnv1aBasis;
     const auto mix = [&h](const std::string &s) {
-        for (const char c : s) {
-            h ^= static_cast<std::uint8_t>(c);
-            h *= 0x100000001b3ull;
-        }
+        h = fnv1a(h, s.data(), s.size());
     };
     for (const ConfigKeyInfo &k : ConfigRegistry::keys()) {
         if (identityExcluded(k.name))
@@ -91,20 +53,19 @@ configIdentityHash(const SimConfig &cfg)
     return h;
 }
 
-std::string
+std::vector<std::uint8_t>
 frameCheckpoint(const SimConfig &cfg,
                 const std::vector<std::uint8_t> &payload)
 {
-    std::string out;
-    out.reserve(kHeaderLen + payload.size() + 4);
-    out.append(kCkptMagic, kMagicLen);
-    appendU32(out, kCkptVersion);
-    appendU64(out, configIdentityHash(cfg));
-    appendU64(out, payload.size());
-    out.append(reinterpret_cast<const char *>(payload.data()),
-               payload.size());
-    appendU32(out, crc32(payload.data(), payload.size()));
-    return out;
+    CkptWriter w;
+    w.reserve(kHeaderLen + payload.size() + 4);
+    w.bytes(kCkptMagic, kMagicLen);
+    w.u32(kCkptVersion);
+    w.u64(configIdentityHash(cfg));
+    w.u64(payload.size());
+    w.bytes(payload.data(), payload.size());
+    w.u32(crc32(payload.data(), payload.size()));
+    return w.takeBuffer();
 }
 
 std::vector<std::uint8_t>
@@ -114,30 +75,28 @@ unframeCheckpoint(const std::string &bytes, const SimConfig &cfg,
     if (bytes.size() < kHeaderLen)
         throw FormatError(origin, bytes.size(),
                           "truncated checkpoint header");
-    if (std::memcmp(bytes.data(), kCkptMagic, kMagicLen) != 0)
+    CkptReader r(reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                 bytes.size(), origin);
+    char magic[kMagicLen];
+    r.bytes(magic, kMagicLen);
+    if (std::memcmp(magic, kCkptMagic, kMagicLen) != 0)
         throw FormatError(origin, 0, "bad checkpoint magic");
-    const std::uint32_t version = readU32(bytes, kMagicLen);
+    const std::uint32_t version = r.u32();
     if (version != kCkptVersion)
         throw FormatError(origin, kMagicLen,
                           "unsupported checkpoint version " +
                               std::to_string(version));
-    const std::uint64_t hash = readU64(bytes, kMagicLen + 4);
-    if (hash != configIdentityHash(cfg))
+    if (r.u64() != configIdentityHash(cfg))
         throw FormatError(
             origin, kMagicLen + 4,
             "checkpoint was taken under a different configuration");
-    const std::uint64_t size = readU64(bytes, kMagicLen + 12);
-    if (bytes.size() < kHeaderLen + size + 4)
+    const std::uint64_t size = r.u64();
+    if (r.remaining() < 4 || r.remaining() - 4 < size)
         throw FormatError(origin, bytes.size(),
                           "truncated checkpoint payload");
-    std::vector<std::uint8_t> payload(
-        bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderLen),
-        bytes.begin() +
-            static_cast<std::ptrdiff_t>(kHeaderLen + size));
-    const std::uint32_t want =
-        readU32(bytes, kHeaderLen + static_cast<std::size_t>(size));
-    const std::uint32_t got = crc32(payload.data(), payload.size());
-    if (want != got)
+    std::vector<std::uint8_t> payload(static_cast<std::size_t>(size));
+    r.bytes(payload.data(), payload.size());
+    if (r.u32() != crc32(payload.data(), payload.size()))
         throw FormatError(origin, kHeaderLen + size,
                           "checkpoint payload CRC mismatch");
     return payload;

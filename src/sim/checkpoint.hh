@@ -51,9 +51,10 @@ inline constexpr std::uint32_t kCkptVersion = 3;
  */
 std::uint64_t configIdentityHash(const SimConfig &cfg);
 
-/** Frame @p payload into a complete checkpoint byte string. */
-std::string frameCheckpoint(const SimConfig &cfg,
-                            const std::vector<std::uint8_t> &payload);
+/** Frame @p payload into the bytes of a complete checkpoint file. */
+std::vector<std::uint8_t>
+frameCheckpoint(const SimConfig &cfg,
+                const std::vector<std::uint8_t> &payload);
 
 /**
  * Validate the frame of @p bytes against @p cfg and return the

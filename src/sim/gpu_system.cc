@@ -13,106 +13,90 @@
 namespace amsc
 {
 
+void
+saveRunResult(CkptWriter &w, const RunResult &r)
+{
+#ifdef __LP64__
+    // Field-drift guard: a new RunResult field must join this list
+    // and loadRunResult()'s, or the journal drops it and
+    // identicalResults() stops comparing it. Other ABIs may pad
+    // differently, so the size is pinned on LP64 only.
+    static_assert(sizeof(RunResult) == 440,
+                  "serialize the new RunResult field here and in "
+                  "loadRunResult()");
+#endif
+    w.u64(r.cycles);
+    w.varint(r.instructions);
+    w.d(r.ipc);
+    ckptValue(w, r.appIpc);
+    ckptValue(w, r.appInstructions);
+    w.b(r.finishedWork);
+    w.d(r.llcReadMissRate);
+    w.d(r.llcResponseRate);
+    w.varint(r.llcAccesses);
+    w.varint(r.llcBypasses);
+    w.varint(r.dramAccesses);
+    w.d(r.dramRowHitRate);
+    w.varint(r.dramRefreshes);
+    w.varint(r.dramQueueRejects);
+    w.varint(r.dramWriteDrains);
+    w.d(r.avgRequestLatency);
+    w.d(r.avgReplyLatency);
+    ckptValue(w, r.finalMode);
+    w.pod(r.llcCtrl);
+    ckptValue(w, r.sharingBuckets);
+    ckptValue(w, r.nocActivity.routers);
+    ckptValue(w, r.nocActivity.links);
+    ckptValue(w, r.gpuActivity);
+    w.b(r.servingActive);
+    w.varint(r.requestsCompleted);
+    w.d(r.reqLatencyP50);
+    w.d(r.reqLatencyP99);
+    w.d(r.batchOccupancy);
+    w.d(r.queueDepthMean);
+}
+
+void
+loadRunResult(CkptReader &r, RunResult &out)
+{
+    out.cycles = r.u64();
+    out.instructions = r.varint();
+    out.ipc = r.d();
+    ckptValue(r, out.appIpc);
+    ckptValue(r, out.appInstructions);
+    out.finishedWork = r.b();
+    out.llcReadMissRate = r.d();
+    out.llcResponseRate = r.d();
+    out.llcAccesses = r.varint();
+    out.llcBypasses = r.varint();
+    out.dramAccesses = r.varint();
+    out.dramRowHitRate = r.d();
+    out.dramRefreshes = r.varint();
+    out.dramQueueRejects = r.varint();
+    out.dramWriteDrains = r.varint();
+    out.avgRequestLatency = r.d();
+    out.avgReplyLatency = r.d();
+    ckptValue(r, out.finalMode);
+    r.pod(out.llcCtrl);
+    ckptValue(r, out.sharingBuckets);
+    ckptValue(r, out.nocActivity.routers);
+    ckptValue(r, out.nocActivity.links);
+    ckptValue(r, out.gpuActivity);
+    out.servingActive = r.b();
+    out.requestsCompleted = r.varint();
+    out.reqLatencyP50 = r.d();
+    out.reqLatencyP99 = r.d();
+    out.batchOccupancy = r.d();
+    out.queueDepthMean = r.d();
+}
+
 bool
 identicalResults(const RunResult &a, const RunResult &b)
 {
-    // Field-drift guards: this function is the determinism gate for
-    // SweepRunner, `amsc trace verify` and the tick==event tests.
-    // Adding a field to any compared struct must extend the matching
-    // lambda below -- on the LP64 CI platform these asserts force that
-    // update (other ABIs may pad differently, so they are scoped).
-#ifdef __LP64__
-    static_assert(sizeof(LlcSystemStats) == 11 * sizeof(std::uint64_t),
-                  "update sameCtrl for the new LlcSystemStats field");
-    static_assert(sizeof(RouterActivity) == 80,
-                  "update sameRouter for the new RouterActivity field");
-    static_assert(sizeof(LinkActivity) == 24,
-                  "update sameLink for the new LinkActivity field");
-    static_assert(sizeof(GpuActivity) == 48,
-                  "update the GpuActivity compare for the new field");
-#endif
-
-    const auto sameCtrl = [](const LlcSystemStats &x,
-                             const LlcSystemStats &y) {
-        return x.profileWindows == y.profileWindows &&
-            x.decisionsPrivate == y.decisionsPrivate &&
-            x.decisionsShared == y.decisionsShared &&
-            x.rule1Fires == y.rule1Fires &&
-            x.rule2Fires == y.rule2Fires &&
-            x.atomicVetoes == y.atomicVetoes &&
-            x.transitionsToPrivate == y.transitionsToPrivate &&
-            x.transitionsToShared == y.transitionsToShared &&
-            x.reconfigStallCycles == y.reconfigStallCycles &&
-            x.cyclesPrivate == y.cyclesPrivate &&
-            x.cyclesShared == y.cyclesShared;
-    };
-    const auto sameRouter = [](const RouterActivity &x,
-                               const RouterActivity &y) {
-        return x.numInPorts == y.numInPorts &&
-            x.numOutPorts == y.numOutPorts && x.numVcs == y.numVcs &&
-            x.vcDepthFlits == y.vcDepthFlits &&
-            x.channelWidthBytes == y.channelWidthBytes &&
-            x.gateable == y.gateable &&
-            x.bufferWrites == y.bufferWrites &&
-            x.bufferReads == y.bufferReads &&
-            x.xbarTraversals == y.xbarTraversals &&
-            x.allocRounds == y.allocRounds &&
-            x.activeCycles == y.activeCycles &&
-            x.gatedCycles == y.gatedCycles &&
-            x.bypassTraversals == y.bypassTraversals;
-    };
-    const auto sameLink = [](const LinkActivity &x,
-                             const LinkActivity &y) {
-        return x.lengthMm == y.lengthMm &&
-            x.widthBytes == y.widthBytes &&
-            x.flitTraversals == y.flitTraversals;
-    };
-
-    if (a.cycles != b.cycles || a.instructions != b.instructions ||
-        a.ipc != b.ipc || a.appIpc != b.appIpc ||
-        a.appInstructions != b.appInstructions ||
-        a.finishedWork != b.finishedWork ||
-        a.llcReadMissRate != b.llcReadMissRate ||
-        a.llcResponseRate != b.llcResponseRate ||
-        a.llcAccesses != b.llcAccesses ||
-        a.llcBypasses != b.llcBypasses ||
-        a.dramAccesses != b.dramAccesses ||
-        a.dramRowHitRate != b.dramRowHitRate ||
-        a.dramRefreshes != b.dramRefreshes ||
-        a.dramQueueRejects != b.dramQueueRejects ||
-        a.dramWriteDrains != b.dramWriteDrains ||
-        a.avgRequestLatency != b.avgRequestLatency ||
-        a.avgReplyLatency != b.avgReplyLatency ||
-        a.finalMode != b.finalMode ||
-        a.sharingBuckets != b.sharingBuckets)
-        return false;
-    if (!sameCtrl(a.llcCtrl, b.llcCtrl))
-        return false;
-    if (a.nocActivity.routers.size() != b.nocActivity.routers.size() ||
-        a.nocActivity.links.size() != b.nocActivity.links.size())
-        return false;
-    for (std::size_t i = 0; i < a.nocActivity.routers.size(); ++i) {
-        if (!sameRouter(a.nocActivity.routers[i],
-                        b.nocActivity.routers[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < a.nocActivity.links.size(); ++i) {
-        if (!sameLink(a.nocActivity.links[i], b.nocActivity.links[i]))
-            return false;
-    }
-    if (a.servingActive != b.servingActive ||
-        a.requestsCompleted != b.requestsCompleted ||
-        a.reqLatencyP50 != b.reqLatencyP50 ||
-        a.reqLatencyP99 != b.reqLatencyP99 ||
-        a.batchOccupancy != b.batchOccupancy ||
-        a.queueDepthMean != b.queueDepthMean)
-        return false;
-    return a.gpuActivity.cycles == b.gpuActivity.cycles &&
-        a.gpuActivity.instructions == b.gpuActivity.instructions &&
-        a.gpuActivity.l1Accesses == b.gpuActivity.l1Accesses &&
-        a.gpuActivity.llcAccesses == b.gpuActivity.llcAccesses &&
-        a.gpuActivity.dramAccesses == b.gpuActivity.dramAccesses &&
-        a.gpuActivity.nocEnergyUj == b.gpuActivity.nocEnergyUj;
+    CkptWriter x, y;
+    saveRunResult(x, a);
+    saveRunResult(y, b);
+    return x.buffer() == y.buffer();
 }
 
 GpuSystem::GpuSystem(const SimConfig &config) : config_(config)
@@ -203,7 +187,7 @@ GpuSystem::setProgram(AppId app,
                       std::unique_ptr<WorkloadProgram> prog)
 {
     if (app >= programs_.size())
-        fatal("setProgram: app %u out of range", app);
+        panic("setProgram: app %u out of range", app);
     programs_[app] = std::move(prog);
     launchedEver_[app] = false;
     unfinishedApps_ = 0;
@@ -596,7 +580,7 @@ GpuSystem::checkpoint(std::ostream &os) const
 {
     CkptWriter w;
     savePayload(w);
-    checkedStreamWrite(os, frameCheckpoint(config_, w.buffer()),
+    checkedStreamWrite(os, charView(frameCheckpoint(config_, w.buffer())),
                        "<checkpoint>");
 }
 
@@ -606,7 +590,7 @@ GpuSystem::writeCheckpointFile() const
     CkptWriter w;
     savePayload(w);
     writeFileAtomic(config_.checkpointPath,
-                    frameCheckpoint(config_, w.buffer()));
+                    charView(frameCheckpoint(config_, w.buffer())));
 }
 
 void

@@ -101,10 +101,21 @@ struct RunResult
 };
 
 /**
- * Field-by-field bitwise equality of two run results, including the
- * controller statistics and the NoC/GPU activity snapshots. This is
- * the determinism contract of the optimized cycle core and of
- * SweepRunner: "identical" means *identical*, not "close".
+ * Encode @p r field by field in the byte codec (doubles as raw bit
+ * patterns): the journal's record body and the one field list of
+ * RunResult.
+ */
+void saveRunResult(CkptWriter &w, const RunResult &r);
+
+/** Mirror of saveRunResult(); throws FormatError on malformed input. */
+void loadRunResult(CkptReader &r, RunResult &out);
+
+/**
+ * Bitwise equality of two run results: their saveRunResult()
+ * encodings are equal, controller statistics and NoC/GPU activity
+ * snapshots included. This is the determinism contract of the
+ * optimized cycle core and of SweepRunner: "identical" means
+ * *identical*, not "close".
  */
 bool identicalResults(const RunResult &a, const RunResult &b);
 

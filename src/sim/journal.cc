@@ -20,33 +20,16 @@ namespace
 constexpr std::size_t kMagicLen = 8;
 constexpr std::size_t kFrameHeadLen = 8; // u32 size + u32 crc
 
-std::uint32_t
-readU32(const std::string &s, std::size_t at)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(s[at + i]))
-            << (8 * i);
-    return v;
-}
-
 /** Wrap @p payload into one [size][crc][payload] frame. */
-std::string
+std::vector<std::uint8_t>
 frameBytes(const std::vector<std::uint8_t> &payload)
 {
-    std::string out;
-    out.reserve(kFrameHeadLen + payload.size());
-    const std::uint32_t size =
-        static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t crc = crc32(payload.data(), payload.size());
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(size >> (8 * i)));
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(crc >> (8 * i)));
-    out.append(reinterpret_cast<const char *>(payload.data()),
-               payload.size());
-    return out;
+    CkptWriter w;
+    w.reserve(kFrameHeadLen + payload.size());
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u32(crc32(payload.data(), payload.size()));
+    w.bytes(payload.data(), payload.size());
+    return w.takeBuffer();
 }
 
 /**
@@ -60,16 +43,17 @@ nextFrame(const std::string &bytes, std::size_t &off,
 {
     if (bytes.size() - off < kFrameHeadLen)
         return false;
-    const std::uint32_t size = readU32(bytes, off);
-    const std::uint32_t crc = readU32(bytes, off + 4);
-    if (bytes.size() - off - kFrameHeadLen < size)
+    CkptReader r(reinterpret_cast<const std::uint8_t *>(bytes.data()) +
+                     off,
+                 bytes.size() - off);
+    const std::uint32_t size = r.u32();
+    const std::uint32_t crc = r.u32();
+    if (r.remaining() < size)
         return false;
-    const auto *p =
-        reinterpret_cast<const std::uint8_t *>(bytes.data()) + off +
-        kFrameHeadLen;
-    if (crc32(p, size) != crc)
+    payload.resize(size);
+    r.bytes(payload.data(), size);
+    if (crc32(payload.data(), size) != crc)
         return false;
-    payload.assign(p, p + size);
     off += kFrameHeadLen + size;
     return true;
 }
@@ -92,9 +76,8 @@ parseHeader(const std::vector<std::uint8_t> &payload,
             const std::string &path)
 {
     CkptReader r(payload.data(), payload.size(), path);
-    std::uint8_t magic[kMagicLen];
-    for (std::uint8_t &c : magic)
-        c = r.u8();
+    char magic[kMagicLen];
+    r.bytes(magic, kMagicLen);
     if (std::memcmp(magic, kJournalMagic, kMagicLen) != 0)
         throw FormatError(path, 0, "bad journal magic");
     const std::uint32_t version = r.u32();
@@ -204,107 +187,27 @@ operator==(const JournalHeader &a, const JournalHeader &b)
         a.totalPoints == b.totalPoints;
 }
 
-void
-saveRunResult(CkptWriter &w, const RunResult &r)
-{
-    w.u64(r.cycles);
-    w.varint(r.instructions);
-    w.d(r.ipc);
-    ckptValue(w, r.appIpc);
-    ckptValue(w, r.appInstructions);
-    w.b(r.finishedWork);
-    w.d(r.llcReadMissRate);
-    w.d(r.llcResponseRate);
-    w.varint(r.llcAccesses);
-    w.varint(r.llcBypasses);
-    w.varint(r.dramAccesses);
-    w.d(r.dramRowHitRate);
-    w.varint(r.dramRefreshes);
-    w.varint(r.dramQueueRejects);
-    w.varint(r.dramWriteDrains);
-    w.d(r.avgRequestLatency);
-    w.d(r.avgReplyLatency);
-    ckptValue(w, r.finalMode);
-    w.pod(r.llcCtrl);
-    ckptValue(w, r.sharingBuckets);
-    ckptValue(w, r.nocActivity.routers);
-    ckptValue(w, r.nocActivity.links);
-    ckptValue(w, r.gpuActivity);
-    w.b(r.servingActive);
-    w.varint(r.requestsCompleted);
-    w.d(r.reqLatencyP50);
-    w.d(r.reqLatencyP99);
-    w.d(r.batchOccupancy);
-    w.d(r.queueDepthMean);
-}
-
-void
-loadRunResult(CkptReader &r, RunResult &out)
-{
-    out.cycles = r.u64();
-    out.instructions = r.varint();
-    out.ipc = r.d();
-    ckptValue(r, out.appIpc);
-    ckptValue(r, out.appInstructions);
-    out.finishedWork = r.b();
-    out.llcReadMissRate = r.d();
-    out.llcResponseRate = r.d();
-    out.llcAccesses = r.varint();
-    out.llcBypasses = r.varint();
-    out.dramAccesses = r.varint();
-    out.dramRowHitRate = r.d();
-    out.dramRefreshes = r.varint();
-    out.dramQueueRejects = r.varint();
-    out.dramWriteDrains = r.varint();
-    out.avgRequestLatency = r.d();
-    out.avgReplyLatency = r.d();
-    ckptValue(r, out.finalMode);
-    r.pod(out.llcCtrl);
-    ckptValue(r, out.sharingBuckets);
-    ckptValue(r, out.nocActivity.routers);
-    ckptValue(r, out.nocActivity.links);
-    ckptValue(r, out.gpuActivity);
-    out.servingActive = r.b();
-    out.requestsCompleted = r.varint();
-    out.reqLatencyP50 = r.d();
-    out.reqLatencyP99 = r.d();
-    out.batchOccupancy = r.d();
-    out.queueDepthMean = r.d();
-}
-
 std::uint64_t
 sweepIdentityHash(const std::vector<SweepPoint> &points)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis
-    const auto mixByte = [&h](std::uint8_t c) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    };
-    const auto mixU64 = [&mixByte](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            mixByte(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    const auto mixStr = [&mixByte](const std::string &s) {
-        for (const char c : s)
-            mixByte(static_cast<std::uint8_t>(c));
-    };
-    mixU64(points.size());
+    CkptWriter w;
+    w.u64(points.size());
     for (const SweepPoint &p : points) {
-        mixStr(p.label);
-        mixByte('\n');
-        mixU64(configIdentityHash(p.cfg));
+        w.bytes(p.label.data(), p.label.size());
+        w.u8('\n');
+        w.u64(configIdentityHash(p.cfg));
         // The identity hash excludes the run-length limits (a
         // checkpoint may legally be resumed with a longer horizon),
         // but a journaled *result* depends on them -- mix them in.
-        mixU64(p.cfg.maxCycles);
-        mixU64(p.cfg.maxInstructions);
-        mixU64(p.apps.size());
+        w.u64(p.cfg.maxCycles);
+        w.u64(p.cfg.maxInstructions);
+        w.u64(p.apps.size());
         for (const WorkloadSpec &s : p.apps) {
-            mixStr(s.abbr);
-            mixByte(';');
+            w.bytes(s.abbr.data(), s.abbr.size());
+            w.u8(';');
         }
     }
-    return h;
+    return fnv1a(kFnv1aBasis, w.buffer().data(), w.size());
 }
 
 std::string
@@ -319,7 +222,8 @@ SweepJournal::SweepJournal(const std::string &path,
 {
     std::string bytes;
     if (!readFileIfExists(path_, bytes) || bytes.empty()) {
-        writeFileAtomic(path_, frameBytes(headerPayload(header_)));
+        writeFileAtomic(path_,
+                        charView(frameBytes(headerPayload(header_))));
         return;
     }
     ParsedJournal parsed = parseJournal(bytes, path_, header_);
@@ -341,7 +245,7 @@ SweepJournal::append(const JournalRecord &rec)
     w.str(rec.label);
     w.str(rec.error);
     saveRunResult(w, rec.result);
-    appendFileDurable(path_, frameBytes(w.buffer()));
+    appendFileDurable(path_, charView(frameBytes(w.buffer())));
     done_.insert(rec.pointIndex);
     records_.push_back(rec);
 }

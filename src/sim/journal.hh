@@ -76,12 +76,6 @@ struct JournalRecord
     RunResult result;
 };
 
-/** Serialize @p r field by field (doubles as raw bit patterns). */
-void saveRunResult(CkptWriter &w, const RunResult &r);
-
-/** Mirror of saveRunResult(); throws FormatError on malformed input. */
-void loadRunResult(CkptReader &r, RunResult &out);
-
 /**
  * FNV-1a digest identifying a sweep grid: point count, then every
  * point's label, configIdentityHash(), run-length limits

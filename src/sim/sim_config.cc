@@ -716,58 +716,75 @@ SimConfig::validate() const
 {
     if (numSms == 0 || numClusters == 0 || numMcs == 0 ||
         slicesPerMc == 0)
-        fatal("config: zero structural parameter");
+        throw ConfigError("config: zero structural parameter");
+    // Each application owns a share of every cluster's SMs; an app
+    // with no share would have nowhere to launch its kernels.
+    if (numApps() > smsPerCluster())
+        throw ConfigError(strfmt("config: %u applications need at least "
+                                 "%u SMs per cluster (have %u)",
+                                 numApps(), numApps(), smsPerCluster()));
     if (topology == NocTopology::Hierarchical &&
         slicesPerMc != numClusters)
-        fatal("config: H-Xbar co-design requires slices_per_mc (%u) == "
-              "num_clusters (%u)",
-              slicesPerMc, numClusters);
+        throw ConfigError(strfmt("config: H-Xbar co-design requires "
+                                 "slices_per_mc (%u) == num_clusters (%u)",
+                                 slicesPerMc, numClusters));
+    // The set-geometry checks below divide by these.
+    if (lineBytes == 0 || llcAssoc == 0 || l1Assoc == 0)
+        throw ConfigError(
+            "config: line_bytes, llc_assoc and l1_assoc must be non-zero");
     if (llcSliceBytes % (static_cast<std::uint64_t>(lineBytes) *
                          llcAssoc) != 0)
-        fatal("config: LLC slice size not divisible into sets");
+        throw ConfigError("config: LLC slice size not divisible into sets");
     if (l1SizeBytes % (static_cast<std::uint64_t>(lineBytes) *
                        l1Assoc) != 0)
-        fatal("config: L1 size not divisible into sets");
+        throw ConfigError("config: L1 size not divisible into sets");
     if (dramRowBytes % lineBytes != 0)
-        fatal("config: DRAM row not a multiple of the line size");
+        throw ConfigError(
+            "config: DRAM row not a multiple of the line size");
     if (dramBusBytesPerCycle == 0)
-        fatal("config: dram_bus_bytes must be non-zero");
+        throw ConfigError("config: dram_bus_bytes must be non-zero");
     if (dramBankGroups == 0 || dramBankGroups > banksPerMc ||
         banksPerMc % dramBankGroups != 0)
-        fatal("config: dram_bank_groups (%u) must divide banks_per_mc "
-              "(%u)",
-              dramBankGroups, banksPerMc);
+        throw ConfigError(strfmt("config: dram_bank_groups (%u) must "
+                                 "divide banks_per_mc (%u)",
+                                 dramBankGroups, banksPerMc));
     if (dramTimings.tREFI != 0 && dramTimings.tRFC >= dramTimings.tREFI)
-        fatal("config: dram_trfc (%u) must be below dram_trefi (%u)",
-              dramTimings.tRFC, dramTimings.tREFI);
+        throw ConfigError(strfmt("config: dram_trfc (%u) must be below "
+                                 "dram_trefi (%u)",
+                                 dramTimings.tRFC, dramTimings.tREFI));
     if (dramQueueCap == 0)
-        fatal("config: dram_queue_cap must be non-zero");
+        throw ConfigError("config: dram_queue_cap must be non-zero");
     if (checkpointEvery != 0 && checkpointPath.empty())
-        fatal("config: checkpoint_every requires checkpoint_path");
+        throw ConfigError(
+            "config: checkpoint_every requires checkpoint_path");
     if (checkpointEvery != 0 && !traceRecordPath.empty())
-        fatal("config: checkpoint_every and trace_record are "
-              "exclusive (recording generators are not "
-              "checkpointable)");
+        throw ConfigError("config: checkpoint_every and trace_record are "
+                          "exclusive (recording generators are not "
+                          "checkpointable)");
     if (statsStreamPeriod == 0)
-        fatal("config: stats_stream_period must be non-zero");
+        throw ConfigError("config: stats_stream_period must be non-zero");
     if (llcDuelSets == 0)
-        fatal("config: llc_duel_sets must be non-zero");
+        throw ConfigError("config: llc_duel_sets must be non-zero");
     if (!(servingRate > 0.0))
-        fatal("config: serving_rate must be positive");
+        throw ConfigError("config: serving_rate must be positive");
     if (servingZipfAlpha < 0.0)
-        fatal("config: serving_zipf_alpha must be non-negative");
+        throw ConfigError(
+            "config: serving_zipf_alpha must be non-negative");
     if (servingTenants == 0 || servingBatch == 0 || servingCtx == 0 ||
         servingDecode == 0 || llmDModel == 0 || llmLayers == 0)
-        fatal("config: serving/llm parameters must be non-zero "
-              "(serving_tenants, serving_batch, serving_ctx, "
-              "serving_decode, llm_d_model, llm_layers)");
+        throw ConfigError("config: serving/llm parameters must be "
+                          "non-zero (serving_tenants, serving_batch, "
+                          "serving_ctx, serving_decode, llm_d_model, "
+                          "llm_layers)");
     // A zero width divides by zero when packetizing; zero buffer or
-    // queue slots leave the NoC without credits and the run hangs.
+    // queue slots leave the NoC without credits and the run hangs; a
+    // zero concentration gives the C-Xbar no SM ports.
     const std::pair<const char *, std::uint64_t> noc_sizes[] = {
         {"channel_width", channelWidthBytes},
         {"vc_depth", vcDepthFlits},
         {"inject_queue_cap", injectQueueCap},
         {"eject_queue_cap", ejectQueueCap},
+        {"concentration", concentration},
     };
     for (const auto &[key, value] : noc_sizes) {
         if (value == 0)

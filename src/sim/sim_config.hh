@@ -252,7 +252,7 @@ struct SimConfig
      */
     void applyKv(const KvArgs &args);
 
-    /** Validate cross-parameter invariants; fatal() on violation. */
+    /** Validate cross-parameter invariants; ConfigError on violation. */
     void validate() const;
 };
 
@@ -278,7 +278,7 @@ struct ConfigKeyInfo
     const char *values;
     const char *doc; ///< one-line description (docs/configuration.md)
     std::string (*get)(const SimConfig &);
-    /** Parse @p value into the config; fatal() on malformed input. */
+    /** Parse @p value into the config; ConfigError on malformed input. */
     void (*set)(SimConfig &, const std::string &value);
 };
 
@@ -302,8 +302,8 @@ class ConfigRegistry
     static std::string suggest(const std::string &name);
 
     /**
-     * Apply one key=value override; fatal() naming the nearest valid
-     * key when @p name is unknown. Does not run validate() -- callers
+     * Apply one key=value override; ConfigError naming the nearest
+     * valid key when @p name is unknown. Does not run validate() -- callers
      * applying several keys validate once at the end.
      */
     static void apply(SimConfig &cfg, const std::string &name,

@@ -42,9 +42,9 @@ RecordingGen::flush()
     if (flushed_)
         return;
     flushed_ = true;
-    writer_->writeWarpBlock(kernel_, cta_, warp_, numInstrs_, buf_);
-    buf_.clear();
-    buf_.shrink_to_fit();
+    writer_->writeWarpBlock(kernel_, cta_, warp_, numInstrs_,
+                            buf_.buffer());
+    buf_ = CkptWriter(); // release the stream's bytes
 }
 
 KernelInfo

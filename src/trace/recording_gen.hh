@@ -48,7 +48,7 @@ class RecordingGen : public WarpTraceGen
     std::uint32_t kernel_;
     CtaId cta_;
     std::uint32_t warp_;
-    std::vector<std::uint8_t> buf_;
+    CkptWriter buf_; ///< the stream's encoded records
     Addr prev_ = 0;
     std::uint64_t numInstrs_ = 0;
     bool flushed_ = false;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/error.hh"
-#include "common/log.hh"
 #include "trace/trace_format.hh"
 
 namespace amsc
@@ -60,14 +58,12 @@ ReplayGen::nextInstr(WarpInstr &out, Cycle)
     if (avail_ - pos_ < kMaxEncodedInstrBytes && fileBytesLeft_ > 0)
         refill();
 
-    const std::uint8_t *p = buf_.data() + pos_;
-    const std::uint8_t *end = buf_.data() + avail_;
-    if (!decodeInstr(p, end, out, prev_))
-        throw FormatError(
-            reader_->path(),
-            fileOffset_ - (avail_ - pos_),
-            "corrupt warp payload");
-    pos_ = static_cast<std::size_t>(p - buf_.data());
+    // The buffered bytes end at file offset fileOffset_, so errors
+    // carry absolute file offsets.
+    CkptReader r(buf_.data() + pos_, avail_ - pos_, reader_->path(),
+                 fileOffset_ - (avail_ - pos_));
+    decodeInstr(r, out, prev_);
+    pos_ = avail_ - r.remaining();
     --instrsLeft_;
     return true;
 }

@@ -18,19 +18,19 @@
  * strides, so records average a few bytes instead of the 77 bytes of
  * the raw struct.
  *
- * All fixed-width fields are little-endian; varints are endianness
- * free. Version bumps (kTraceVersion) are required for any layout
- * change; readers reject files whose major version they do not know.
+ * Every field goes through the byte codec (common/ckpt.hh):
+ * fixed-width fields are little-endian, varints are endianness free.
+ * Version bumps (kTraceVersion) are required for any layout change;
+ * readers reject files whose major version they do not know.
  */
 
 #ifndef AMSC_TRACE_TRACE_FORMAT_HH
 #define AMSC_TRACE_TRACE_FORMAT_HH
 
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <vector>
 
+#include "common/ckpt.hh"
 #include "common/types.hh"
 #include "gpu/trace.hh"
 
@@ -60,61 +60,6 @@ inline constexpr std::uint32_t kTraceHeaderBytes = 32;
 inline constexpr std::size_t kMaxEncodedInstrBytes =
     1 + 5 + kMaxAccessesPerInstr * 10;
 
-// ---- varints ---------------------------------------------------------
-
-/** Append @p v as a LEB128 varint. */
-inline void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/**
- * Decode a LEB128 varint from [@p p, @p end).
- *
- * @return true and advances @p p on success; false on overrun or an
- *         over-long (> 10 byte) encoding.
- */
-inline bool
-getVarint(const std::uint8_t *&p, const std::uint8_t *end,
-          std::uint64_t &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        if (p == end)
-            return false;
-        const std::uint8_t byte = *p++;
-        // Only one bit of the 10th byte fits in 64; reject encodings
-        // whose overflow bits would otherwise be dropped silently.
-        if (shift == 63 && byte > 1)
-            return false;
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return true;
-    }
-    return false;
-}
-
-/** Zigzag-map a signed delta onto an unsigned varint-friendly value. */
-inline std::uint64_t
-zigzagEncode(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-        static_cast<std::uint64_t>(v >> 63);
-}
-
-/** Inverse of zigzagEncode(). */
-inline std::int64_t
-zigzagDecode(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1) ^
-        -static_cast<std::int64_t>(v & 1);
-}
-
 // ---- instruction record codec ----------------------------------------
 
 /** Flags-byte layout of an encoded instruction record. */
@@ -123,14 +68,13 @@ inline constexpr std::uint8_t kInstrWriteBit = 0x10;
 inline constexpr std::uint8_t kInstrAtomicBit = 0x20;
 
 /**
- * Append one WarpInstr to @p out.
+ * Append one WarpInstr to @p w.
  *
  * @param prev  running previous-address state of the warp stream;
  *              updated to the record's last address.
  */
 inline void
-encodeInstr(std::vector<std::uint8_t> &out, const WarpInstr &wi,
-            Addr &prev)
+encodeInstr(CkptWriter &w, const WarpInstr &wi, Addr &prev)
 {
     std::uint8_t flags =
         static_cast<std::uint8_t>(wi.numAccesses & kInstrAccessMask);
@@ -138,50 +82,38 @@ encodeInstr(std::vector<std::uint8_t> &out, const WarpInstr &wi,
         flags |= kInstrWriteBit;
     if (wi.isAtomic)
         flags |= kInstrAtomicBit;
-    out.push_back(flags);
-    putVarint(out, wi.computeCycles);
+    w.u8(flags);
+    w.varint(wi.computeCycles);
     for (std::uint32_t i = 0; i < wi.numAccesses; ++i) {
-        const std::int64_t delta = static_cast<std::int64_t>(
-            wi.addrs[i] - prev);
-        putVarint(out, zigzagEncode(delta));
+        w.svarint(static_cast<std::int64_t>(wi.addrs[i] - prev));
         prev = wi.addrs[i];
     }
 }
 
 /**
- * Decode one WarpInstr from [@p p, @p end).
- *
- * @return true and advances @p p on success; false on a malformed or
- *         truncated record (bad access count, varint overrun).
+ * Decode one WarpInstr from @p r; throws FormatError on a malformed
+ * or truncated record (bad access count, varint overrun).
  */
-inline bool
-decodeInstr(const std::uint8_t *&p, const std::uint8_t *end,
-            WarpInstr &wi, Addr &prev)
+inline void
+decodeInstr(CkptReader &r, WarpInstr &wi, Addr &prev)
 {
-    if (p == end)
-        return false;
-    const std::uint8_t flags = *p++;
+    const std::uint8_t flags = r.u8();
     const std::uint32_t num_accesses = flags & kInstrAccessMask;
     if (num_accesses > kMaxAccessesPerInstr)
-        return false;
+        r.fail("corrupt warp payload (bad access count)");
     wi = WarpInstr{};
     wi.numAccesses = num_accesses;
     wi.isWrite = (flags & kInstrWriteBit) != 0;
     wi.isAtomic = (flags & kInstrAtomicBit) != 0;
-    std::uint64_t compute = 0;
-    if (!getVarint(p, end, compute) ||
-        compute > std::numeric_limits<std::uint32_t>::max())
-        return false;
+    const std::uint64_t compute = r.varint();
+    if (compute > std::numeric_limits<std::uint32_t>::max())
+        r.fail("corrupt warp payload (compute count overflows)");
     wi.computeCycles = static_cast<std::uint32_t>(compute);
     for (std::uint32_t i = 0; i < num_accesses; ++i) {
-        std::uint64_t zz = 0;
-        if (!getVarint(p, end, zz))
-            return false;
-        prev = static_cast<Addr>(static_cast<std::int64_t>(prev) +
-                                 zigzagDecode(zz));
+        // Unsigned (wrapping) add: a corrupt delta cannot overflow.
+        prev += static_cast<Addr>(r.svarint());
         wi.addrs[i] = prev;
     }
-    return true;
 }
 
 } // namespace amsc

@@ -2,44 +2,13 @@
 
 #include <cstring>
 
+#include "common/ckpt.hh"
 #include "common/error.hh"
 #include "common/log.hh"
 #include "trace/trace_format.hh"
 
 namespace amsc
 {
-
-namespace
-{
-
-std::uint32_t
-readU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-readU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-double
-readDoubleBits(const std::uint8_t *p)
-{
-    const std::uint64_t bits = readU64(p);
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-} // namespace
 
 std::uint64_t
 TraceKernel::totalInstrs() const
@@ -72,17 +41,20 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
 
     std::uint8_t hdr[kTraceHeaderBytes];
     readAt(0, hdr, sizeof(hdr));
-    if (std::memcmp(hdr, kTraceMagic, 8) != 0)
+    CkptReader r(hdr, sizeof(hdr), path_);
+    char magic[8];
+    r.bytes(magic, 8);
+    if (std::memcmp(magic, kTraceMagic, 8) != 0)
         throw FormatError(path, 0,
                           "not a warp-trace file (bad magic)");
-    version_ = readU32(hdr + 8);
+    version_ = r.u32();
     if (version_ != kTraceVersion)
         throw FormatError(
             path, 8,
             strfmt("unsupported version %u (reader supports %u)",
                    version_, kTraceVersion));
-    const std::uint32_t header_bytes = readU32(hdr + 12);
-    const std::uint64_t index_offset = readU64(hdr + 16);
+    const std::uint32_t header_bytes = r.u32();
+    const std::uint64_t index_offset = r.u64();
     if (header_bytes < kTraceHeaderBytes)
         throw FormatError(path, 12, "malformed header");
     if (index_offset == 0)
@@ -108,60 +80,38 @@ void
 TraceReader::parseIndex(const std::vector<std::uint8_t> &index,
                         std::uint64_t index_offset)
 {
-    const std::uint8_t *p = index.data();
-    const std::uint8_t *end = p + index.size();
-    auto need = [this, &p, &index, index_offset](bool ok) {
-        if (!ok)
-            throw FormatError(
-                path_,
-                index_offset +
-                    static_cast<std::uint64_t>(p - index.data()),
-                "corrupt index");
-    };
-
-    std::uint64_t num_kernels = 0;
-    need(getVarint(p, end, num_kernels));
+    CkptReader r(index.data(), index.size(), path_, index_offset);
+    const std::uint64_t num_kernels = r.varint();
     for (std::uint64_t k = 0; k < num_kernels; ++k) {
         TraceKernel kernel;
-        std::uint64_t name_len = 0;
-        need(getVarint(p, end, name_len));
-        need(static_cast<std::uint64_t>(end - p) >= name_len);
-        kernel.name.assign(reinterpret_cast<const char *>(p),
-                           static_cast<std::size_t>(name_len));
-        p += name_len;
-        std::uint64_t v = 0;
-        need(getVarint(p, end, v));
-        kernel.numCtas = static_cast<std::uint32_t>(v);
-        need(getVarint(p, end, v));
-        kernel.warpsPerCta = static_cast<std::uint32_t>(v);
-        std::uint64_t num_warps = 0;
-        need(getVarint(p, end, num_warps));
+        kernel.name = r.str();
+        kernel.numCtas = static_cast<std::uint32_t>(r.varint());
+        kernel.warpsPerCta = static_cast<std::uint32_t>(r.varint());
+        const std::uint64_t num_warps = r.varint();
         for (std::uint64_t w = 0; w < num_warps; ++w) {
-            std::uint64_t cta = 0;
-            std::uint64_t warp = 0;
+            const std::uint64_t cta = r.varint();
+            const std::uint64_t warp = r.varint();
             TraceWarpBlock block;
-            need(getVarint(p, end, cta));
-            need(getVarint(p, end, warp));
-            need(getVarint(p, end, block.offset));
-            need(getVarint(p, end, block.numInstrs));
-            need(getVarint(p, end, block.payloadBytes));
-            need(block.offset + block.payloadBytes <= fileSize_);
+            block.offset = r.varint();
+            block.numInstrs = r.varint();
+            block.payloadBytes = r.varint();
+            if (block.offset > fileSize_ ||
+                block.payloadBytes > fileSize_ - block.offset)
+                r.fail("corrupt index (warp block beyond EOF)");
             kernel.warps[(cta << 32) | warp] = block;
         }
         kernels_.push_back(std::move(kernel));
     }
 
-    need(p != end);
-    summary_.valid = *p++ != 0;
-    need(getVarint(p, end, summary_.cycles));
-    need(getVarint(p, end, summary_.instructions));
-    need(getVarint(p, end, summary_.llcAccesses));
-    need(getVarint(p, end, summary_.dramAccesses));
-    need(static_cast<std::size_t>(end - p) >= 16);
-    summary_.llcReadMissRate = readDoubleBits(p);
-    summary_.ipc = readDoubleBits(p + 8);
-    p += 16;
-    need(p == end);
+    summary_.valid = r.u8() != 0;
+    summary_.cycles = r.varint();
+    summary_.instructions = r.varint();
+    summary_.llcAccesses = r.varint();
+    summary_.dramAccesses = r.varint();
+    summary_.llcReadMissRate = r.d();
+    summary_.ipc = r.d();
+    if (!r.atEnd())
+        r.fail("corrupt index (trailing bytes)");
 }
 
 const TraceWarpBlock *

@@ -1,7 +1,6 @@
 #include "trace/trace_writer.hh"
 
-#include <cstring>
-
+#include "common/ckpt.hh"
 #include "common/error.hh"
 #include "common/log.hh"
 #include "sim/gpu_system.hh"
@@ -24,33 +23,6 @@ summarizeRun(const RunResult &r)
     return s;
 }
 
-namespace
-{
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putDoubleBits(std::vector<std::uint8_t> &out, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-} // namespace
-
 TraceWriter::TraceWriter(const std::string &path) : path_(path)
 {
     out_.open(path, std::ios::binary | std::ios::trunc);
@@ -59,19 +31,26 @@ TraceWriter::TraceWriter(const std::string &path) : path_(path)
 
     // Header with a zero index offset; patched by finalize(). A
     // reader seeing offset 0 knows the recording was cut short.
-    std::vector<std::uint8_t> hdr;
-    hdr.insert(hdr.end(), kTraceMagic, kTraceMagic + 8);
-    putU32(hdr, kTraceVersion);
-    putU32(hdr, kTraceHeaderBytes);
-    putU64(hdr, 0); // index offset
-    putU64(hdr, 0); // reserved
-    writeRaw(hdr.data(), hdr.size());
+    CkptWriter hdr;
+    hdr.bytes(kTraceMagic, 8);
+    hdr.u32(kTraceVersion);
+    hdr.u32(kTraceHeaderBytes);
+    hdr.u64(0); // index offset
+    hdr.u64(0); // reserved
+    writeRaw(hdr.buffer());
 }
 
 TraceWriter::~TraceWriter()
 {
-    if (!finalized_)
+    if (finalized_)
+        return;
+    // Reached while a point unwinds (say, a constructor rejected its
+    // configuration): a throw here would terminate the process.
+    try {
         finalize();
+    } catch (const SimError &e) {
+        warn("%s", e.what());
+    }
 }
 
 std::uint32_t
@@ -102,13 +81,13 @@ TraceWriter::writeWarpBlock(std::uint32_t kernel, CtaId cta,
 
     // Self-describing block framing ahead of the payload, so a
     // sequential scan can recover streams even without the index.
-    std::vector<std::uint8_t> frame;
-    putVarint(frame, kernel);
-    putVarint(frame, cta);
-    putVarint(frame, warp);
-    putVarint(frame, num_instrs);
-    putVarint(frame, payload.size());
-    writeRaw(frame.data(), frame.size());
+    CkptWriter frame;
+    frame.varint(kernel);
+    frame.varint(cta);
+    frame.varint(warp);
+    frame.varint(num_instrs);
+    frame.varint(payload.size());
+    writeRaw(frame.buffer());
 
     WarpEntry e;
     e.cta = cta;
@@ -118,7 +97,7 @@ TraceWriter::writeWarpBlock(std::uint32_t kernel, CtaId cta,
     e.payloadBytes = payload.size();
     kernels_[kernel].warps.push_back(e);
 
-    writeRaw(payload.data(), payload.size());
+    writeRaw(payload);
     ++blocks_;
 }
 
@@ -136,37 +115,36 @@ TraceWriter::finalize()
     finalized_ = true;
 
     const std::uint64_t index_offset = offset_;
-    std::vector<std::uint8_t> idx;
-    putVarint(idx, kernels_.size());
+    CkptWriter idx;
+    idx.varint(kernels_.size());
     for (const KernelEntry &k : kernels_) {
-        putVarint(idx, k.name.size());
-        idx.insert(idx.end(), k.name.begin(), k.name.end());
-        putVarint(idx, k.numCtas);
-        putVarint(idx, k.warpsPerCta);
-        putVarint(idx, k.warps.size());
+        idx.str(k.name);
+        idx.varint(k.numCtas);
+        idx.varint(k.warpsPerCta);
+        idx.varint(k.warps.size());
         for (const WarpEntry &w : k.warps) {
-            putVarint(idx, w.cta);
-            putVarint(idx, w.warp);
-            putVarint(idx, w.offset);
-            putVarint(idx, w.numInstrs);
-            putVarint(idx, w.payloadBytes);
+            idx.varint(w.cta);
+            idx.varint(w.warp);
+            idx.varint(w.offset);
+            idx.varint(w.numInstrs);
+            idx.varint(w.payloadBytes);
         }
     }
-    idx.push_back(summary_.valid ? 1 : 0);
-    putVarint(idx, summary_.cycles);
-    putVarint(idx, summary_.instructions);
-    putVarint(idx, summary_.llcAccesses);
-    putVarint(idx, summary_.dramAccesses);
-    putDoubleBits(idx, summary_.llcReadMissRate);
-    putDoubleBits(idx, summary_.ipc);
-    idx.insert(idx.end(), kTraceEndMagic, kTraceEndMagic + 8);
-    writeRaw(idx.data(), idx.size());
+    idx.b(summary_.valid);
+    idx.varint(summary_.cycles);
+    idx.varint(summary_.instructions);
+    idx.varint(summary_.llcAccesses);
+    idx.varint(summary_.dramAccesses);
+    idx.d(summary_.llcReadMissRate);
+    idx.d(summary_.ipc);
+    idx.bytes(kTraceEndMagic, 8);
+    writeRaw(idx.buffer());
 
     // Patch the header's index offset.
     out_.seekp(16);
-    std::vector<std::uint8_t> patch;
-    putU64(patch, index_offset);
-    out_.write(reinterpret_cast<const char *>(patch.data()),
+    CkptWriter patch;
+    patch.u64(index_offset);
+    out_.write(reinterpret_cast<const char *>(patch.buffer().data()),
                static_cast<std::streamsize>(patch.size()));
     out_.close();
     if (!out_)
@@ -174,13 +152,13 @@ TraceWriter::finalize()
 }
 
 void
-TraceWriter::writeRaw(const void *data, std::size_t n)
+TraceWriter::writeRaw(const std::vector<std::uint8_t> &bytes)
 {
-    out_.write(static_cast<const char *>(data),
-               static_cast<std::streamsize>(n));
+    out_.write(reinterpret_cast<const char *>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
     if (!out_)
         throw IoError(path_, "trace write error");
-    offset_ += n;
+    offset_ += bytes.size();
 }
 
 } // namespace amsc

@@ -53,10 +53,13 @@ TraceRunSummary summarizeRun(const RunResult &r);
 class TraceWriter
 {
   public:
-    /** Create/truncate @p path; fatal() if it cannot be opened. */
+    /** Create/truncate @p path; IoError if it cannot be opened. */
     explicit TraceWriter(const std::string &path);
 
-    /** Finalizes the file if finalize() has not been called. */
+    /**
+     * Finalizes the file if finalize() has not been called; a write
+     * error there is only warned about (call finalize() to see it).
+     */
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -107,7 +110,7 @@ class TraceWriter
         std::vector<WarpEntry> warps;
     };
 
-    void writeRaw(const void *data, std::size_t n);
+    void writeRaw(const std::vector<std::uint8_t> &bytes);
 
     std::string path_;
     std::ofstream out_;

@@ -60,7 +60,7 @@ class WorkloadSuite
     /** All 17 benchmarks, paper order. */
     static const std::vector<WorkloadSpec> &all();
 
-    /** Look up by abbreviation; fatal() if unknown. */
+    /** Look up by abbreviation; ConfigError if unknown. */
     static const WorkloadSpec &byName(const std::string &abbr);
 
     /** Benchmarks of one class, paper order. */

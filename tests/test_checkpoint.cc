@@ -7,8 +7,9 @@
  *    running to completion yields a RunResult *bit-identical* to the
  *    unbroken run -- across workload classes, multi-kernel
  *    sequences, atomics, the adaptive controller, multi-program
- *    partitions, record/replay workloads and every mem_backend
- *    preset.
+ *    partitions, record/replay workloads, every mem_backend preset
+ *    and every replacement, bypass and DRAM-scheduling policy with
+ *    state of its own.
  *  - Container integrity: any truncation, bit flip, version or
  *    config mismatch throws FormatError with the offending offset;
  *    a half-written checkpoint is never half-restored.
@@ -227,6 +228,49 @@ TEST(CheckpointEquivalence, MemBackendPresets)
     }
 }
 
+/** A policy with its own checkpointed state, as key=value. */
+class PolicyState
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>>
+{};
+
+TEST_P(PolicyState, RestoresBitExactly)
+{
+    // Each of these policies saves and loads state of its own (FIFO
+    // order, RNG, RRPVs, the DRRIP selector, bypass confidence, the
+    // drain mode); a restore must resume it bit-identically. 16 KB
+    // slices under a write-heavy Zipf stream keep victim choice,
+    // bypassing and write drains on the path of the result.
+    SimConfig cfg = smallConfig();
+    cfg.maxCycles = 20000;
+    ConfigRegistry::apply(cfg, "llc_slice_kb", "16");
+    ConfigRegistry::apply(cfg, GetParam().first, GetParam().second);
+    const SetupFn setup = [](GpuSystem &gpu) {
+        TraceParams t;
+        t.pattern = AccessPattern::ZipfShared;
+        t.sharedLines = 4096;
+        t.sharedFraction = 0.7;
+        t.privateLinesPerCta = 128;
+        t.writeFraction = 0.3;
+        t.memInstrsPerWarp = 300;
+        t.computePerMem = 1;
+        t.seed = 17;
+        gpu.setWorkload(0, {makeSyntheticKernel("k", t, 32, 4)});
+    };
+    expectRestoreEquivalent(cfg, setup, {5000, 12000});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CheckpointEquivalence, PolicyState,
+    ::testing::Values(std::make_pair("llc_repl", "fifo"),
+                      std::make_pair("llc_repl", "random"),
+                      std::make_pair("llc_repl", "brrip"),
+                      std::make_pair("llc_repl", "drrip"),
+                      std::make_pair("llc_bypass", "stream"),
+                      std::make_pair("mem_sched", "write_drain")),
+    [](const auto &info) {
+        return info.param.first + "_" + info.param.second;
+    });
+
 TEST(CheckpointEquivalence, MultiProgram)
 {
     SimConfig cfg = smallConfig();
@@ -432,7 +476,8 @@ TEST(CheckpointContainer, TrailingBytesRejected)
     std::vector<std::uint8_t> payload =
         unframeCheckpoint(bytes, cfg, "<test>");
     payload.push_back(0);
-    expectRestoreThrows(cfg, frameCheckpoint(cfg, payload),
+    const std::vector<std::uint8_t> framed = frameCheckpoint(cfg, payload);
+    expectRestoreThrows(cfg, std::string(framed.begin(), framed.end()),
                         "trailing bytes");
 }
 
@@ -471,10 +516,11 @@ TEST(CheckpointConfig, KnobValidation)
 {
     SimConfig cfg = smallConfig();
     cfg.checkpointEvery = 100;
-    EXPECT_DEATH(cfg.validate(), "checkpoint_every requires");
+    AMSC_EXPECT_THROW_MSG(cfg.validate(), ConfigError,
+                          "checkpoint_every requires");
     cfg.checkpointPath = tmpPath("v.ckpt");
     cfg.traceRecordPath = tmpPath("v.trc");
-    EXPECT_DEATH(cfg.validate(), "exclusive");
+    AMSC_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "exclusive");
 }
 
 } // namespace amsc

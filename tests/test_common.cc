@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
 
+#include "common/ckpt.hh"
 #include "common/delay_queue.hh"
 #include "common/error.hh"
 #include "common/kvargs.hh"
@@ -330,6 +332,60 @@ TEST(DelayQueue, LoaderRejectsCountOverCapacity)
             EXPECT_THROW(q.loadCkpt(r), FormatError);
         }
     }
+}
+
+// ---------------------------------------------------------- byte codec
+
+TEST(CkptCodec, VarintRoundTrip)
+{
+    const std::uint64_t values[] = {
+        0,   1,   127, 128,  129,   16383, 16384, 1ULL << 32,
+        ~0ULL, 0x9e3779b97f4a7c15ULL};
+    for (const std::uint64_t v : values) {
+        CkptWriter w;
+        w.varint(v);
+        CkptReader r(w.buffer().data(), w.size());
+        EXPECT_EQ(r.varint(), v);
+        EXPECT_TRUE(r.atEnd());
+    }
+}
+
+TEST(CkptCodec, VarintRejectsTruncation)
+{
+    CkptWriter w;
+    w.varint(1ULL << 40);
+    CkptReader r(w.buffer().data(), w.size() - 1);
+    EXPECT_THROW(r.varint(), FormatError);
+}
+
+TEST(CkptCodec, VarintRejectsOverflow)
+{
+    // A 10-byte encoding whose final byte carries bits that cannot
+    // fit in 64 bits must be rejected, not silently truncated.
+    std::vector<std::uint8_t> buf(9, 0x80);
+    buf.push_back(0x7e);
+    CkptReader r(buf.data(), buf.size());
+    EXPECT_THROW(r.varint(), FormatError);
+}
+
+TEST(CkptCodec, ZigzagRoundTrip)
+{
+    const std::int64_t values[] = {0, 1, -1, 63, -64, 1 << 20,
+                                   -(1 << 20),
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min()};
+    for (const std::int64_t v : values) {
+        CkptWriter w;
+        w.svarint(v);
+        CkptReader r(w.buffer().data(), w.size());
+        EXPECT_EQ(r.svarint(), v);
+        EXPECT_TRUE(r.atEnd());
+    }
+    // Zigzag keeps small magnitudes of either sign to one byte.
+    CkptWriter w;
+    w.svarint(-64);
+    w.svarint(63);
+    EXPECT_EQ(w.size(), 2u);
 }
 
 // --------------------------------------------------------------- Stats

@@ -441,7 +441,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(NocConfig, ZeroSizesAreRejected)
 {
     // A zero channel width divides by zero when packetizing; zero
-    // buffer or queue slots starve the NoC until max_cycles.
+    // buffer or queue slots starve the NoC until max_cycles; a zero
+    // C-Xbar concentration leaves SMs without a router port.
     const auto zeroed = [](auto field) {
         SimConfig cfg;
         cfg.*field = 0;
@@ -456,6 +457,8 @@ TEST(NocConfig, ZeroSizesAreRejected)
                           ConfigError, "inject_queue_cap");
     AMSC_EXPECT_THROW_MSG(zeroed(&SimConfig::ejectQueueCap).validate(),
                           ConfigError, "eject_queue_cap");
+    AMSC_EXPECT_THROW_MSG(zeroed(&SimConfig::concentration).validate(),
+                          ConfigError, "concentration");
     SimConfig ok;
     ok.shortLinkLatency = 0;
     ok.longLinkLatency = 0;
@@ -468,8 +471,8 @@ TEST(HierXbar, CoDesignInvariantEnforced)
 {
     NocParams p = smallParams(NocTopology::Hierarchical);
     p.slicesPerMc = 2; // != numClusters (4)
-    EXPECT_DEATH(
-        { HierXbarNetwork net(p); }, "co-design");
+    AMSC_EXPECT_THROW_MSG(HierXbarNetwork net(p), ConfigError,
+                          "co-design");
 }
 
 TEST(HierXbar, PrivateModeBypassRouting)

@@ -4,21 +4,26 @@
  * resume/merge half of the robustness contract (docs/robustness.md).
  *
  *  - RunResult codec round-trips bit-exactly (doubles as raw IEEE
- *    bit patterns).
+ *    bit patterns), and identicalResults() -- a compare of its
+ *    encodings -- sees a change to any one field.
  *  - SweepJournal create/append/reopen, torn-tail truncation, and
  *    rejection of foreign or mismatched journals.
  *  - sweepIdentityHash is sensitive to every result-relevant input,
  *    including the identity-excluded run-length limits.
  *  - SweepRunner's skip mask + onResult hook and the
- *    sweep_on_error=abort|skip failure policy.
- *  - The error-column emit overloads stay byte-identical to the
- *    plain emitters when no point failed.
+ *    sweep_on_error=abort|skip failure policy, also for a
+ *    configuration a component constructor rejects.
+ *  - The CSV, JSON and table emitters add an error column only when
+ *    a point failed.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -144,6 +149,85 @@ TEST(RunResultCodec, RoundTripsBitExactly)
         loadRunResult(r, out);
         EXPECT_TRUE(r.atEnd());
         EXPECT_TRUE(identicalResults(in, out)) << "salt " << salt;
+    }
+}
+
+TEST(RunResultCodec, IdenticalResultsSeesEveryField)
+{
+    // identicalResults() compares saveRunResult() encodings: changing
+    // any one field -- nested controller, NoC and GPU activity fields
+    // included -- makes two results differ.
+    using Edit = void (*)(RunResult &);
+    const Edit edits[] = {
+        [](RunResult &r) { ++r.cycles; },
+        [](RunResult &r) { ++r.instructions; },
+        [](RunResult &r) { r.ipc += 1e-12; },
+        [](RunResult &r) { r.appIpc[1] = -r.appIpc[1]; },
+        [](RunResult &r) { r.appIpc.push_back(0.0); },
+        [](RunResult &r) { ++r.appInstructions[0]; },
+        [](RunResult &r) { r.finishedWork = !r.finishedWork; },
+        [](RunResult &r) { r.llcReadMissRate = 0.3; },
+        [](RunResult &r) { r.llcResponseRate = 1.5; },
+        [](RunResult &r) { ++r.llcAccesses; },
+        [](RunResult &r) { ++r.llcBypasses; },
+        [](RunResult &r) { ++r.dramAccesses; },
+        [](RunResult &r) { r.dramRowHitRate = 0.6; },
+        [](RunResult &r) { ++r.dramRefreshes; },
+        [](RunResult &r) { ++r.dramQueueRejects; },
+        [](RunResult &r) { ++r.dramWriteDrains; },
+        [](RunResult &r) { r.avgRequestLatency = 32.0; },
+        [](RunResult &r) { r.avgReplyLatency = 29.0; },
+        [](RunResult &r) { r.finalMode = LlcMode::Shared; },
+        [](RunResult &r) { ++r.llcCtrl.profileWindows; },
+        [](RunResult &r) { ++r.llcCtrl.decisionsPrivate; },
+        [](RunResult &r) { ++r.llcCtrl.decisionsShared; },
+        [](RunResult &r) { ++r.llcCtrl.rule1Fires; },
+        [](RunResult &r) { ++r.llcCtrl.rule2Fires; },
+        [](RunResult &r) { ++r.llcCtrl.atomicVetoes; },
+        [](RunResult &r) { ++r.llcCtrl.transitionsToPrivate; },
+        [](RunResult &r) { ++r.llcCtrl.transitionsToShared; },
+        [](RunResult &r) { ++r.llcCtrl.reconfigStallCycles; },
+        [](RunResult &r) { ++r.llcCtrl.cyclesPrivate; },
+        [](RunResult &r) { ++r.llcCtrl.cyclesShared; },
+        [](RunResult &r) { r.sharingBuckets[3] = 0.0; },
+        [](RunResult &r) { r.nocActivity.routers.pop_back(); },
+        [](RunResult &r) { ++r.nocActivity.routers[1].numInPorts; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].numOutPorts; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].numVcs; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].vcDepthFlits; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].channelWidthBytes; },
+        [](RunResult &r) { r.nocActivity.routers[1].gateable = true; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].bufferWrites; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].bufferReads; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].xbarTraversals; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].allocRounds; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].activeCycles; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].gatedCycles; },
+        [](RunResult &r) { ++r.nocActivity.routers[1].bypassTraversals; },
+        [](RunResult &r) { r.nocActivity.links.pop_back(); },
+        [](RunResult &r) { r.nocActivity.links[2].lengthMm = 2.5; },
+        [](RunResult &r) { ++r.nocActivity.links[2].widthBytes; },
+        [](RunResult &r) { ++r.nocActivity.links[2].flitTraversals; },
+        [](RunResult &r) { ++r.gpuActivity.cycles; },
+        [](RunResult &r) { ++r.gpuActivity.instructions; },
+        [](RunResult &r) { ++r.gpuActivity.l1Accesses; },
+        [](RunResult &r) { ++r.gpuActivity.llcAccesses; },
+        [](RunResult &r) { ++r.gpuActivity.dramAccesses; },
+        [](RunResult &r) { r.gpuActivity.nocEnergyUj = 0.5; },
+        [](RunResult &r) { r.servingActive = true; },
+        [](RunResult &r) { ++r.requestsCompleted; },
+        [](RunResult &r) { r.reqLatencyP50 = 10.0; },
+        [](RunResult &r) { r.reqLatencyP99 = 20.0; },
+        [](RunResult &r) { r.batchOccupancy = 4.0; },
+        [](RunResult &r) { r.queueDepthMean = 2.0; },
+    };
+    const RunResult base = sampleResult(3);
+    EXPECT_TRUE(identicalResults(base, sampleResult(3)));
+    for (std::size_t i = 0; i < std::size(edits); ++i) {
+        RunResult changed = base;
+        edits[i](changed);
+        EXPECT_FALSE(identicalResults(base, changed)) << "edit " << i;
+        EXPECT_FALSE(identicalResults(changed, base)) << "edit " << i;
     }
 }
 
@@ -370,6 +454,40 @@ TEST(SweepOnErrorPolicy, SkipRecordsErrorAndContinues)
     EXPECT_GT(results[2].instructions, 0u);
 }
 
+TEST(SweepOnErrorPolicy, ConstructorRejectionFailsOnlyItsPoint)
+{
+    // l1_mshrs=0 passes SimConfig::validate(); the L1 MSHR file
+    // rejects it while the point's GpuSystem is built. That
+    // ConfigError fails the one point through SweepRunner -- recorded
+    // under skip, rethrown under abort -- instead of ending the
+    // process from a worker thread.
+    std::vector<SweepPoint> points = {
+        tinyPoint("ok", false, SweepOnError::Skip),
+        tinyPoint("no-mshrs", false, SweepOnError::Skip),
+        tinyPoint("ok2", false, SweepOnError::Skip)};
+    points[1].cfg.l1Mshrs = 0;
+    std::vector<std::string> errors(points.size());
+    SweepOptions options;
+    options.onResult = [&](std::size_t i, const RunResult &,
+                           const std::string &err) {
+        errors[i] = err;
+    };
+    const std::vector<RunResult> results =
+        SweepRunner(2).run(points, options);
+    EXPECT_EQ(errors[0], "");
+    EXPECT_NE(errors[1].find("MshrFile requires non-zero entries"),
+              std::string::npos)
+        << errors[1];
+    EXPECT_EQ(errors[2], "");
+    EXPECT_TRUE(identicalResults(results[1], RunResult{}));
+    EXPECT_GT(results[0].instructions, 0u);
+    EXPECT_GT(results[2].instructions, 0u);
+
+    points[1].cfg.sweepOnError = SweepOnError::Abort;
+    AMSC_EXPECT_THROW_MSG(SweepRunner(2).run(points), ConfigError,
+                          "MshrFile");
+}
+
 TEST(SweepOnErrorPolicy, ParseAndName)
 {
     EXPECT_EQ(parseSweepOnError("abort"), SweepOnError::Abort);
@@ -391,6 +509,36 @@ TEST(EmitErrors, NoErrorsIsByteIdenticalToPlain)
               scenario::emitCsv(pts, results, empty));
     EXPECT_EQ(scenario::emitJson("s", pts, results),
               scenario::emitJson("s", pts, results, empty));
+}
+
+TEST(EmitErrors, TableShowsFailedPoints)
+{
+    const std::vector<scenario::EmitPoint> pts = {{"a", {}},
+                                                  {"b", {}}};
+    const std::vector<RunResult> results = {sampleResult(1),
+                                            RunResult{}};
+    // No failure: the historical table, no error column.
+    EXPECT_EQ(scenario::renderTable(pts, results),
+              scenario::renderTable(pts, results,
+                                    std::vector<std::string>(2)));
+    EXPECT_EQ(scenario::renderTable(pts, results).find("error"),
+              std::string::npos);
+
+    const std::string table = scenario::renderTable(
+        pts, results, {"", "l1_mshrs | bad"});
+    const std::string header = table.substr(0, table.find('\n'));
+    EXPECT_EQ(header.rfind("| error |"), header.size() - 9) << header;
+    // One cell per column on every row: the '|' in the message does
+    // not split its cell.
+    std::size_t rows = 0;
+    std::istringstream lines(table);
+    for (std::string line; std::getline(lines, line); ++rows)
+        EXPECT_EQ(std::count(line.begin(), line.end(), '|'), 8) << line;
+    EXPECT_EQ(rows, 4u);
+    EXPECT_NE(table.find("| b | 0.00 | 0 | 0 | 0.000 | shared | "
+                         "l1_mshrs / bad |"),
+              std::string::npos)
+        << table;
 }
 
 TEST(EmitErrors, FailedPointsGetErrorColumn)

@@ -6,8 +6,9 @@
  * policies), bit-exact equivalence of the fig11 scenario with a
  * hand-built reference grid, the `report { }` figure tables (parse
  * errors, round trip, fill checks, recomputation on real runs),
- * emitter golden files, the quickstart scenario's ledger CSV, and
- * unknown-key error messages naming the nearest valid key.
+ * emitter golden files, the ledger CSVs of quickstart, serving_llm
+ * and ablation_reconfig, and unknown-key error messages naming the
+ * nearest valid key.
  *
  * Set AMSC_UPDATE_GOLDEN=1 to rewrite tests/golden/ from the current
  * emitters and simulator.
@@ -947,22 +948,47 @@ TEST(Emit, CsvAndJsonMatchGoldenFiles)
                 scenario::emitJson("golden", points, results));
 }
 
-TEST(Ledger, QuickstartSmokeCsvMatchesGolden)
+namespace
 {
-    // The scenario ledger: `amsc sweep scenarios/quickstart.scn
-    // --smoke format=csv`, regenerated in process and byte-compared
-    // with the committed output. A change to any simulated result
-    // shows up here; one that is meant updates the file.
-    Scenario s = Scenario::load(kSourceDir + "/scenarios/quickstart.scn");
+
+/**
+ * The scenario ledger: `amsc sweep scenarios/<name>.scn --smoke
+ * format=csv`, regenerated in process and byte-compared with the
+ * committed output. A change to any simulated result shows up here;
+ * one that is meant updates the file. CI's build-and-test job
+ * compares all 16 scenarios the same way through `amsc sweep`.
+ */
+void
+checkLedger(const std::string &name)
+{
+    Scenario s =
+        Scenario::load(kSourceDir + "/scenarios/" + name + ".scn");
     s.setSmoke(true);
     const auto expanded = s.expand();
     std::vector<SweepPoint> points;
     for (const ExpandedPoint &ep : expanded)
         points.push_back(ep.point);
     const std::vector<RunResult> results = SweepRunner(2).run(points);
-    checkGolden("scenarios/quickstart.csv",
+    checkGolden("scenarios/" + name + ".csv",
                 scenario::emitCsv(scenario::emitPoints(expanded),
                                   results));
+}
+
+} // namespace
+
+TEST(Ledger, QuickstartSmokeCsvMatchesGolden)
+{
+    checkLedger("quickstart");
+}
+
+TEST(Ledger, ServingLlmSmokeCsvMatchesGolden)
+{
+    checkLedger("serving_llm");
+}
+
+TEST(Ledger, AblationReconfigSmokeCsvMatchesGolden)
+{
+    checkLedger("ablation_reconfig");
 }
 
 TEST(Emit, StableColumnOrder)

@@ -9,9 +9,11 @@
 
 #include <sstream>
 
+#include "common/error.hh"
 #include "noc/network_factory.hh"
 #include "scenario/schema.hh"
 #include "sim/gpu_system.hh"
+#include "throw_util.hh"
 #include "workloads/suite.hh"
 
 namespace amsc
@@ -108,7 +110,35 @@ TEST(SimConfig, ValidationCatchesCoDesignViolation)
 {
     SimConfig cfg = smallConfig();
     cfg.slicesPerMc = 2; // != numClusters with H-Xbar
-    EXPECT_DEATH(cfg.validate(), "co-design");
+    AMSC_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "co-design");
+}
+
+TEST(SimConfig, AppWithoutSmsIsRejected)
+{
+    // Multi-program runs split every cluster's SMs among the apps;
+    // three apps on two SMs per cluster leave one app without SMs.
+    SimConfig cfg = smallConfig();
+    cfg.numSms = 2 * cfg.numClusters;
+    cfg.extraAppPolicies = {LlcPolicy::ForceShared,
+                            LlcPolicy::ForceShared};
+    AMSC_EXPECT_THROW_MSG(cfg.validate(), ConfigError,
+                          "3 applications need at least 3 SMs");
+    cfg.extraAppPolicies.pop_back();
+    cfg.validate();
+}
+
+TEST(SimConfig, ZeroSetGeometryIsRejected)
+{
+    // validate() divides by each of these; zero must be a ConfigError,
+    // not a division by zero.
+    for (std::uint32_t SimConfig::*field :
+         {&SimConfig::lineBytes, &SimConfig::llcAssoc,
+          &SimConfig::l1Assoc}) {
+        SimConfig cfg = smallConfig();
+        cfg.*field = 0;
+        AMSC_EXPECT_THROW_MSG(cfg.validate(), ConfigError,
+                              "must be non-zero");
+    }
 }
 
 TEST(SimConfig, DescribeShowsTableOneDefaults)

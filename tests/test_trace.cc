@@ -14,6 +14,7 @@
 #include "throw_util.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -163,52 +164,6 @@ recordWorkload(const SimConfig &cfg, std::vector<KernelInfo> kernels,
 
 // ---------------------------------------------------------------- codec
 
-TEST(TraceFormat, VarintRoundTrip)
-{
-    const std::uint64_t values[] = {
-        0,   1,   127, 128,  129,   16383, 16384, 1ULL << 32,
-        ~0ULL, 0x9e3779b97f4a7c15ULL};
-    for (const std::uint64_t v : values) {
-        std::vector<std::uint8_t> buf;
-        putVarint(buf, v);
-        const std::uint8_t *p = buf.data();
-        std::uint64_t back = 0;
-        ASSERT_TRUE(getVarint(p, p + buf.size(), back));
-        EXPECT_EQ(back, v);
-        EXPECT_EQ(p, buf.data() + buf.size());
-    }
-}
-
-TEST(TraceFormat, VarintRejectsTruncation)
-{
-    std::vector<std::uint8_t> buf;
-    putVarint(buf, 1ULL << 40);
-    std::uint64_t v = 0;
-    const std::uint8_t *p = buf.data();
-    EXPECT_FALSE(getVarint(p, p + buf.size() - 1, v));
-}
-
-TEST(TraceFormat, VarintRejectsOverflow)
-{
-    // A 10-byte encoding whose final byte carries bits that cannot
-    // fit in 64 bits must be rejected, not silently truncated.
-    std::vector<std::uint8_t> buf(9, 0x80);
-    buf.push_back(0x7e);
-    std::uint64_t v = 0;
-    const std::uint8_t *p = buf.data();
-    EXPECT_FALSE(getVarint(p, p + buf.size(), v));
-}
-
-TEST(TraceFormat, ZigzagRoundTrip)
-{
-    const std::int64_t values[] = {0, 1, -1, 63, -64, 1 << 20,
-                                   -(1 << 20),
-                                   std::numeric_limits<std::int64_t>::max(),
-                                   std::numeric_limits<std::int64_t>::min()};
-    for (const std::int64_t v : values)
-        EXPECT_EQ(zigzagDecode(zigzagEncode(v)), v);
-}
-
 TEST(TraceFormat, InstrCodecRoundTripsMixedStream)
 {
     // Writes, atomics and divergent multi-access batches, with both
@@ -247,31 +202,30 @@ TEST(TraceFormat, InstrCodecRoundTripsMixedStream)
     e.numAccesses = 0;
     stream.push_back(e);
 
-    std::vector<std::uint8_t> buf;
+    CkptWriter w;
     Addr prev = 0;
     for (const WarpInstr &wi : stream)
-        encodeInstr(buf, wi, prev);
+        encodeInstr(w, wi, prev);
 
-    const std::uint8_t *p = buf.data();
-    const std::uint8_t *end = p + buf.size();
+    CkptReader r(w.buffer().data(), w.size());
     Addr dprev = 0;
     for (const WarpInstr &want : stream) {
         WarpInstr got;
-        ASSERT_TRUE(decodeInstr(p, end, got, dprev));
+        decodeInstr(r, got, dprev);
         EXPECT_TRUE(sameInstr(want, got));
     }
-    EXPECT_EQ(p, end);
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST(TraceFormat, DecodeRejectsBadAccessCount)
 {
-    std::vector<std::uint8_t> buf;
-    buf.push_back(0x0f); // 15 accesses > kMaxAccessesPerInstr
-    buf.push_back(0);
-    const std::uint8_t *p = buf.data();
+    const std::uint8_t buf[] = {0x0f, 0}; // 15 accesses > the max
+    CkptReader r(buf, sizeof(buf), "<test>", 100);
     WarpInstr wi;
     Addr prev = 0;
-    EXPECT_FALSE(decodeInstr(p, p + buf.size(), wi, prev));
+    // The error offset is absolute: the reader's base plus position.
+    AMSC_EXPECT_THROW_MSG(decodeInstr(r, wi, prev), FormatError,
+                          "at byte 101: corrupt warp payload");
 }
 
 // ------------------------------------------------- writer/reader round trip
@@ -377,14 +331,14 @@ TEST(TraceErrors, RejectsUnfinalizedFile)
         // then drop the file with a zero index offset.
         TraceWriter writer(path);
         writer.beginKernel("k", 1, 1);
-        std::vector<std::uint8_t> payload;
+        CkptWriter payload;
         Addr prev = 0;
         WarpInstr wi;
         wi.computeCycles = 1;
         wi.numAccesses = 1;
         wi.addrs[0] = 5;
         encodeInstr(payload, wi, prev);
-        writer.writeWarpBlock(0, 0, 0, 1, payload);
+        writer.writeWarpBlock(0, 0, 0, 1, payload.buffer());
         // Snapshot the unfinalized bytes, then let the writer seal
         // the file so its own invariants hold.
         writer.finalize();
@@ -596,6 +550,66 @@ TEST(TraceSweep, RecordedScenarioPointReplaysBitExactly)
     const std::vector<scenario::EmitPoint> row{{"point", {}}};
     EXPECT_EQ(scenario::emitCsv(row, rec), scenario::emitCsv(row, rep));
     std::remove(path.c_str());
+}
+
+// ------------------------------------------------ committed golden trace
+
+namespace
+{
+
+/** The run of tests/golden/small.trc: two tiny synthetic kernels. */
+std::vector<KernelInfo>
+goldenWorkload()
+{
+    TraceParams t;
+    t.pattern = AccessPattern::ZipfShared;
+    t.sharedLines = 512;
+    t.sharedFraction = 0.6;
+    t.privateLinesPerCta = 64;
+    t.writeFraction = 0.2;
+    t.atomicFraction = 0.1;
+    t.accessesPerInstr = 3;
+    t.memInstrsPerWarp = 12;
+    t.computePerMem = 2;
+    t.seed = 5;
+    std::vector<KernelInfo> out;
+    out.push_back(makeSyntheticKernel("g0", t, 4, 2));
+    t.seed = 6;
+    t.privateBase = (Addr{1} << 30) + (Addr{1} << 24);
+    out.push_back(makeSyntheticKernel("g1", t, 4, 2));
+    return out;
+}
+
+} // namespace
+
+TEST(TraceGolden, WriterReproducesCommittedFileAndReaderReplaysIt)
+{
+    // The trace format is a persisted interface: a recording of the
+    // same run must reproduce the committed file byte for byte
+    // (header, warp-block framing, delta+varint records, index and
+    // run summary), and that file must still replay the run.
+    const std::string golden =
+        std::string(AMSC_SOURCE_DIR) + "/tests/golden/small.trc";
+    const std::string path = tmpPath("golden.trc");
+    const RunResult rec =
+        recordWorkload(smallConfig(), goldenWorkload(), path);
+    ASSERT_TRUE(rec.finishedWork);
+    if (std::getenv("AMSC_UPDATE_GOLDEN"))
+        spit(golden, slurp(path));
+    EXPECT_EQ(slurp(path), slurp(golden))
+        << "the trace writer's bytes drifted from tests/golden/"
+           "small.trc";
+    std::remove(path.c_str());
+
+    auto reader = std::make_shared<const TraceReader>(golden);
+    ASSERT_EQ(reader->kernels().size(), 2u);
+    EXPECT_EQ(reader->kernels()[1].name, "g1");
+    EXPECT_TRUE(reader->summary().valid);
+    EXPECT_EQ(reader->summary().cycles, rec.cycles);
+    EXPECT_EQ(reader->summary().ipc, rec.ipc);
+    GpuSystem gpu(smallConfig());
+    gpu.setWorkload(0, WorkloadSuite::buildReplayKernels(reader));
+    EXPECT_TRUE(identicalResults(gpu.run(), rec));
 }
 
 TEST(TraceSweep, RecordingNeedsOneGeneratedApp)

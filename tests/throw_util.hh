@@ -2,10 +2,9 @@
  * @file
  * Shared EXPECT_THROW-with-message helper for the typed-error tests.
  *
- * The library layers throw SimError subclasses instead of calling
- * fatal() (src/common/error.hh, docs/robustness.md); these macros
- * assert both the exception type and a substring of its message, the
- * way the old EXPECT_DEATH regexes pinned fatal()'s output.
+ * Every failure that is not a simulator bug throws a SimError
+ * subclass (src/common/error.hh, docs/robustness.md); these macros
+ * assert both the exception type and a substring of its message.
  */
 
 #ifndef AMSC_TESTS_THROW_UTIL_HH

@@ -194,7 +194,8 @@ planOutput(const std::string &format, bool emits, const Scenario &scn,
            const std::vector<ExpandedPoint> &expanded)
 {
     if (format != "table" && format != "csv" && format != "json")
-        fatal("unknown format '%s' (table|csv|json)", format.c_str());
+        throw ConfigError(strfmt("unknown format '%s' (table|csv|json)",
+                                 format.c_str()));
     if (!emits || format != "table" || scn.reports().empty())
         return false;
     const std::string gap = scenario::reportGap(
@@ -206,7 +207,12 @@ planOutput(const std::string &format, bool emits, const Scenario &scn,
     return false;
 }
 
-/** Render results as format=table|csv|json (checked by planOutput). */
+/**
+ * Render results as format=table|csv|json (checked by planOutput).
+ * Failed points (sweep_on_error=skip) carry their error text in every
+ * format; they cannot fill the reports, so a table with any failed
+ * point is the per-point one, after one stderr note naming them.
+ */
 std::string
 render(const std::string &format, bool reports, const Scenario &scn,
        const std::vector<ExpandedPoint> &expanded,
@@ -218,9 +224,20 @@ render(const std::string &format, bool reports, const Scenario &scn,
         return scenario::emitCsv(epts, results, errors);
     if (format == "json")
         return scenario::emitJson(scn.name(), epts, results, errors);
-    return reports ? scenario::renderReports(scn.name(), scn.reports(),
-                                             epts, results)
-                   : scenario::renderTable(epts, results);
+    std::string failed;
+    for (std::size_t i = 0; i < errors.size(); ++i) {
+        if (!errors[i].empty())
+            failed += (failed.empty() ? "" : ", ") + epts[i].label;
+    }
+    if (reports && failed.empty())
+        return scenario::renderReports(scn.name(), scn.reports(), epts,
+                                       results);
+    if (reports)
+        std::fprintf(stderr,
+                     "amsc: %s: failed points cannot fill the reports "
+                     "(%s); printing the per-point table\n",
+                     scn.name().c_str(), failed.c_str());
+    return scenario::renderTable(epts, results, errors);
 }
 
 /** Render seconds as "1h02m", "3m20s" or "45s". */
@@ -250,8 +267,9 @@ parseShard(const KvArgs &args, std::uint32_t &shard,
     if (std::sscanf(spec.c_str(), "%u/%u%n", &i, &n, &consumed) !=
             2 ||
         consumed != static_cast<int>(spec.size()) || n == 0 || i >= n)
-        fatal("bad --shard '%s' (expected i/N with 0 <= i < N)",
-              spec.c_str());
+        throw ConfigError(
+            strfmt("bad --shard '%s' (expected i/N with 0 <= i < N)",
+                   spec.c_str()));
     shard = i;
     shard_count = n;
 }
@@ -279,10 +297,10 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     parseShard(args, shard, shard_count);
     const std::string journal_dir = args.getString("--journal", "");
     if (is_resume && journal_dir.empty())
-        fatal("amsc resume requires --journal=DIR");
+        throw ConfigError("amsc resume requires --journal=DIR");
     if (journal_dir.empty() && shard_count != 1)
-        fatal("--shard requires --journal "
-              "(amsc merge reassembles the grid)");
+        throw ConfigError("--shard requires --journal "
+                          "(amsc merge reassembles the grid)");
     const std::string format =
         args.getString("format", is_sweep ? "csv" : "table");
     // A journaled run emits nothing: merge does.
@@ -293,7 +311,7 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     // its GpuSystem is still alive; the dumps follow the table.
     const bool stats = hasFlag(args, "--stats");
     if (stats && (format != "table" || !journal_dir.empty()))
-        fatal("--stats applies to format=table only");
+        throw ConfigError("--stats applies to format=table only");
     std::vector<std::string> stat_dumps(stats ? points.size() : 0);
     for (std::size_t i = 0; i < stat_dumps.size(); ++i) {
         points[i].post = [post = points[i].post, &dump = stat_dumps[i]](
@@ -322,8 +340,8 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
         const std::string jpath = journal_dir + "/" +
             SweepJournal::shardFileName(shard, shard_count);
         if (is_resume && !std::filesystem::exists(jpath))
-            fatal("nothing to resume: %s does not exist",
-                  jpath.c_str());
+            throw ConfigError(strfmt(
+                "nothing to resume: %s does not exist", jpath.c_str()));
         journal = std::make_unique<SweepJournal>(jpath, header);
         skip.assign(points.size(), 0);
         for (std::size_t j = 0; j < points.size(); ++j) {
@@ -437,7 +455,7 @@ cmdMerge(const KvArgs &args)
     const std::string path = args.positionals()[1];
     const std::string journal_dir = args.getString("--journal", "");
     if (journal_dir.empty())
-        fatal("amsc merge requires --journal=DIR");
+        throw ConfigError("amsc merge requires --journal=DIR");
 
     Scenario scn = loadWithOverrides(path, args);
     scn.setSmoke(hasFlag(args, "--smoke") ||
@@ -466,18 +484,21 @@ cmdMerge(const KvArgs &args)
             consumed != static_cast<int>(name.size()) || n == 0)
             continue;
         if (i >= n)
-            fatal("bad journal name %s (shard index out of range)",
-                  name.c_str());
+            throw ConfigError(strfmt(
+                "bad journal name %s (shard index out of range)",
+                name.c_str()));
         if (shard_count == 0)
             shard_count = n;
         else if (n != shard_count)
-            fatal("journal dir mixes shard counts (%u and %u)",
-                  shard_count, n);
+            throw ConfigError(
+                strfmt("journal dir mixes shard counts (%u and %u)",
+                       shard_count, n));
         shards.emplace_back(i, entry.path().string());
     }
     if (shards.empty())
-        fatal("no shard journals (shard-*-of-*.jnl) in %s",
-              journal_dir.c_str());
+        throw ConfigError(
+            strfmt("no shard journals (shard-*-of-*.jnl) in %s",
+                   journal_dir.c_str()));
     std::sort(shards.begin(), shards.end());
 
     std::vector<RunResult> results(num_points);
@@ -503,10 +524,11 @@ cmdMerge(const KvArgs &args)
     for (const char h : have)
         missing += (h == 0);
     if (missing != 0)
-        fatal("journal incomplete: %zu of %zu points missing "
-              "(finish with `amsc resume %s --journal=%s`)",
-              missing, num_points, path.c_str(),
-              journal_dir.c_str());
+        throw ConfigError(
+            strfmt("journal incomplete: %zu of %zu points missing "
+                   "(finish with `amsc resume %s --journal=%s`)",
+                   missing, num_points, path.c_str(),
+                   journal_dir.c_str()));
 
     scenario::writeOut(
         render(format, reports, scn, expanded, results, errors),
@@ -548,7 +570,8 @@ cmdList(const KvArgs &args)
             }
         }
         if (dir.empty() || !std::filesystem::is_directory(dir))
-            fatal("no scenario directory found (pass dir=PATH)");
+            throw ConfigError(
+                "no scenario directory found (pass dir=PATH)");
         std::vector<std::filesystem::path> files;
         for (const auto &e :
              std::filesystem::directory_iterator(dir)) {
@@ -641,7 +664,8 @@ cmdTraceVerify(const KvArgs &args)
     std::vector<SweepPoint> replay = record;
     for (SweepPoint &p : replay) {
         if (p.cfg.traceRecordPath.empty())
-            fatal("amsc trace verify requires trace_record=FILE");
+            throw ConfigError(
+                "amsc trace verify requires trace_record=FILE");
         p.setup = scenario::replaySetup(p.cfg.traceRecordPath);
         p.apps.clear();
         p.cfg.traceRecordPath.clear();
@@ -704,7 +728,7 @@ cmdFuzz(const KvArgs &args)
         static_cast<unsigned>(args.getUint("threads", 0));
     const std::string out_dir = args.getString("out", ".");
     if (points == 0)
-        fatal("--points must be non-zero");
+        throw ConfigError("--points must be non-zero");
 
     std::fprintf(stderr,
                  "amsc: fuzz: %u differential case%s, seed %llu\n",
